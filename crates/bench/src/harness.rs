@@ -2,32 +2,36 @@
 //!
 //! Every figure/table binary builds an [`Experiment`], fans its
 //! independent trials (sweep points, repetitions, configurations) out
-//! over scoped worker threads with [`Experiment::run_trials`], and
-//! finishes by emitting machine-readable results through the JSONL
-//! sink ([`Experiment::finish`]).
+//! over scoped worker threads with [`Experiment::run_trials`] or
+//! [`Warmup::run_trials`], and finishes by emitting machine-readable
+//! results through the JSONL sink ([`Experiment::finish`]).
 //!
 //! # Determinism
 //!
-//! Trial `i` of an experiment seeded with `seed` always draws from the
-//! RNG stream `SimRng::seed_from(seed).split(i)`, no matter which
-//! worker thread executes it or how many workers exist. Results are
-//! collected by trial index, so the JSONL rows and any CSV built from
-//! them are **byte-identical across thread counts**. Only the side
-//! `<name>.meta.json` file records timing-dependent facts (thread
-//! count, wall-clock).
+//! Trials execute through the shared execution core ([`crate::exec`]),
+//! which owns the stream convention: with the experiment seed as the
+//! root, trial `i` draws `SimRng::seed_from(seed).split(i)` and the
+//! warmup of sweep point `p` draws `split(WARMUP_STREAM_BASE + p)`, no
+//! matter which worker thread executes it or how many workers exist.
+//! Results are collected by trial index, so the JSONL rows and any CSV
+//! built from them are **byte-identical across thread counts** and
+//! snapshot modes. Only the side `<name>.meta.json` file records
+//! timing-dependent facts (thread count, wall-clock).
 //!
-//! # Supervision
+//! # Failures
 //!
-//! Trials run under the [`crate::supervisor`]: a panicking or
+//! The core supervises every warmup and trial: a panicking or
 //! deadline-blown trial is retried on its *original* RNG stream and,
-//! if it keeps failing, becomes a structured
-//! [`TrialFailure`] row
-//! (`{"trial":i,"failed":true,...}`) instead of killing the sweep —
-//! the bin exits with code 2 ([`crate::conclude`]) and `leakscan
-//! --allow-degraded` can still assess the surviving trials. Completed
-//! trials checkpoint to a fsynced `<name>.journal.jsonl`; an
-//! interrupted run replays the journal on restart and executes only
-//! the missing trials, producing byte-identical final artifacts.
+//! if it keeps failing, becomes a structured [`TrialFailure`] row
+//! (`{"trial":i,"failed":true,...}`) instead of killing the sweep. A
+//! failed warmup becomes one such row per trial of its point; warmups
+//! are never fault-injected, so `METALEAK_FAIL_TRIAL` fails exactly
+//! the listed trials in both snapshot modes. The bin exits with code 2
+//! ([`crate::conclude`]) and `leakscan --allow-degraded` can still
+//! assess the surviving trials. Completed trials checkpoint to a
+//! fsynced `<name>.journal.jsonl`; an interrupted run replays the
+//! journal on restart and executes only the missing trials, producing
+//! byte-identical final artifacts.
 //!
 //! # Seeding convention
 //!
@@ -38,10 +42,9 @@
 //!   [`AUX_STREAM_BASE`] via [`Experiment::aux_stream`], so they can
 //!   never collide with a trial id.
 
+use crate::exec::{self, PointPlan};
 use crate::json::{Json, JsonObj};
-use crate::supervisor::{
-    self, Journal, JournalValue, SupervisorPolicy, TrialFailure, TrialOutcome,
-};
+use crate::supervisor::{Journal, JournalValue, SupervisorPolicy, TrialFailure, TrialOutcome};
 use crate::{quick_mode, ArtifactError};
 use metaleak_sim::rng::SimRng;
 use metaleak_sim::trace::TraceLog;
@@ -51,16 +54,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+pub use crate::exec::WARMUP_STREAM_BASE;
+
 /// First stream id reserved for auxiliary (non-trial) RNG streams.
 /// Trial ids occupy `0..n`, which in practice stays far below this.
 pub const AUX_STREAM_BASE: u64 = 1 << 32;
-
-/// First stream id reserved for per-sweep-point warmup streams
-/// ([`Experiment::with_warmup`]). Disjoint from both trial ids and
-/// [`AUX_STREAM_BASE`] streams, so the warmup of point `p` draws the
-/// same randomness whether it runs once (snapshot sharing) or is
-/// re-run inside every trial of the point.
-pub const WARMUP_STREAM_BASE: u64 = 1 << 33;
 
 /// Locks a mutex, recovering the guard from a poisoned lock instead of
 /// panicking: trial bodies are isolated by `catch_unwind`, so a poison
@@ -179,133 +177,6 @@ pub fn default_lanes() -> usize {
         },
         _ => 1,
     }
-}
-
-/// Runs `n` independent trials on up to `threads` scoped workers and
-/// returns their results **in trial order**.
-///
-/// Trial `i` receives the RNG stream `SimRng::seed_from(seed).split(i)`
-/// and its index; the output vector is ordered by index regardless of
-/// completion order, so results are bit-identical for any `threads`.
-///
-/// This is the *unsupervised* primitive: a panicking trial propagates
-/// (after all workers finish their current trial). Experiment sweeps
-/// go through [`Experiment::run_trials`], which adds isolation, retry
-/// and journaling.
-///
-/// # Example
-///
-/// ```
-/// use metaleak_bench::harness::run_trials;
-///
-/// // Each trial draws from its own pre-split stream, so the results
-/// // are bit-identical for any worker-thread count.
-/// let body = |rng: &mut metaleak_sim::rng::SimRng, i: usize| (i, rng.next_u64());
-/// let serial = run_trials(4, 0xC0FFEE, 1, body);
-/// let parallel = run_trials(4, 0xC0FFEE, 4, body);
-/// assert_eq!(serial, parallel);
-/// assert_eq!(serial.len(), 4);
-/// ```
-pub fn run_trials<T, F>(n: usize, seed: u64, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut SimRng, usize) -> T + Sync,
-{
-    let root = SimRng::seed_from(seed);
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        return (0..n)
-            .map(|i| {
-                let mut rng = root.split(i as u64);
-                f(&mut rng, i)
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut rng = root.split(i as u64);
-                let out = f(&mut rng, i);
-                lock_ignoring_poison(&results)[i] = Some(out);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("every trial completed"))
-        .collect()
-}
-
-/// The supervised fan-out primitive behind [`Experiment::run_trials`]:
-/// trials absent from `prefill` run under the supervisor (isolation,
-/// deadlines, retry) and report through `on_fresh` (the journal hook)
-/// as they complete; prefilled outcomes (journal replays, warmup
-/// fan-outs) are returned as-is. Output is ordered by trial index.
-fn run_supervised<T, F>(
-    n: usize,
-    seed: u64,
-    threads: usize,
-    policy: &SupervisorPolicy,
-    prefill: BTreeMap<usize, TrialOutcome<T>>,
-    on_fresh: &(dyn Fn(usize, &TrialOutcome<T>) + Sync),
-    f: F,
-) -> Vec<TrialOutcome<T>>
-where
-    T: Send,
-    F: Fn(&mut SimRng, usize) -> T + Sync,
-{
-    let root = SimRng::seed_from(seed);
-    let mut slots: Vec<Option<TrialOutcome<T>>> = (0..n).map(|_| None).collect();
-    for (i, outcome) in prefill {
-        if i < n {
-            slots[i] = Some(outcome);
-        }
-    }
-    let missing: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-    let run_one = |i: usize| {
-        // Every attempt re-splits the trial's original stream, so a
-        // retry replays exactly the randomness of the first try.
-        let out = supervisor::supervise(policy, i, || {
-            let mut rng = root.split(i as u64);
-            f(&mut rng, i)
-        });
-        on_fresh(i, &out);
-        out
-    };
-    let threads = threads.max(1).min(missing.len().max(1));
-    if threads == 1 {
-        for &i in &missing {
-            slots[i] = Some(run_one(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, TrialOutcome<T>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= missing.len() {
-                        break;
-                    }
-                    let i = missing[k];
-                    let out = run_one(i);
-                    lock_ignoring_poison(&done).push((i, out));
-                });
-            }
-        });
-        for (i, out) in done.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            slots[i] = Some(out);
-        }
-    }
-    slots.into_iter().map(|s| s.expect("every trial has an outcome")).collect()
 }
 
 /// One JSONL row of an experiment: a trial index plus named stats.
@@ -556,16 +427,29 @@ impl Experiment {
     {
         let stage = self.stage.fetch_add(1, Ordering::SeqCst);
         let (journal, prefill) = self.open_journal::<T>(stage, n);
-        let on_fresh = journal_hook(&journal);
-        let outcomes = run_supervised(
-            n,
-            self.seed,
-            self.settings.threads,
-            &self.settings.policy,
-            prefill,
-            &on_fresh,
-            f,
-        );
+        let plan =
+            PointPlan { seed: self.seed, point: 0, trials: n, policy: &self.settings.policy };
+        self.run_missing(n, prefill, &journal, |i| plan.trial(i, |rng| f(rng, i)))
+    }
+
+    /// Runs every trial of `0..n` absent from `prefill` through
+    /// `run_one` on the worker pool, checkpointing each fresh outcome
+    /// as it lands, and returns all `n` outcomes in index order.
+    fn run_missing<T: Send + JournalValue>(
+        &self,
+        n: usize,
+        mut prefill: BTreeMap<usize, TrialOutcome<T>>,
+        journal: &Option<Journal>,
+        run_one: impl Fn(usize) -> TrialOutcome<T> + Sync,
+    ) -> Vec<TrialOutcome<T>> {
+        let missing: Vec<usize> = (0..n).filter(|i| !prefill.contains_key(i)).collect();
+        let fresh = exec::map_indexed(missing.len(), self.settings.threads, |k| {
+            let out = run_one(missing[k]);
+            journal_append(journal, &out, missing[k]);
+            out
+        });
+        prefill.extend(missing.into_iter().zip(fresh));
+        let outcomes: Vec<TrialOutcome<T>> = prefill.into_values().collect();
         self.record_failures(&outcomes);
         outcomes
     }
@@ -652,19 +536,13 @@ impl Experiment {
     }
 
     /// Registers one trial failure directly — for callers that run
-    /// trials through [`crate::supervisor::supervise`] on their own
-    /// scheduler (e.g. a work-stealing pool sharing workers across
-    /// experiments) rather than [`Experiment::run_trials`].
+    /// trials through [`crate::exec::PointPlan`] on their own scheduler
+    /// (e.g. a work-stealing pool sharing workers across experiments)
+    /// rather than [`Experiment::run_trials`].
     /// [`Experiment::finish`] merges it into the artifacts exactly
     /// like a harness-recorded failure.
     pub fn note_failure(&self, failure: TrialFailure) {
         lock_ignoring_poison(&self.failures).push(failure);
-    }
-
-    /// The RNG stream feeding sweep point `point`'s warmup closure (see
-    /// the module docs; ids live above [`WARMUP_STREAM_BASE`]).
-    pub fn warmup_stream(&self, point: u64) -> SimRng {
-        SimRng::seed_from(self.seed).split(WARMUP_STREAM_BASE + point)
     }
 
     /// Stages a warmup-sharing trial plan: `points` sweep points, each
@@ -676,13 +554,14 @@ impl Experiment {
     /// Whether the warmup actually runs once per point (snapshot
     /// sharing, the default) or is recomputed inside every trial
     /// (`METALEAK_SNAPSHOT=0`) is invisible to the results: the warmup
-    /// always draws from [`Experiment::warmup_stream`]`(point)` — never
-    /// from a trial stream — and trials fork the warmed state instead
-    /// of mutating it, so both modes produce byte-identical rows. The
-    /// same symmetry holds for failures: a warmup that panics or blows
-    /// its budget yields the same failure rows for the point's trials
-    /// in both modes (the cycle budget is re-armed between warmup and
-    /// trial body in the per-trial mode to keep the accounting equal).
+    /// always draws from point `p`'s warmup stream ([`crate::exec`])
+    /// — never from a trial stream — and trials fork the warmed state
+    /// instead of mutating it, so both modes produce byte-identical
+    /// rows. The same symmetry holds for failures: a warmup that panics
+    /// or blows its budget yields the same failure rows for the point's
+    /// trials in both modes (the cycle budget is re-armed between
+    /// warmup and trial body in the per-trial mode to keep the
+    /// accounting equal), and an injected failure fails only its trial.
     pub fn with_warmup<S, W>(&self, points: usize, warmup: W) -> Warmup<'_, W>
     where
         W: Fn(&mut SimRng, usize) -> S + Sync,
@@ -819,18 +698,13 @@ impl Experiment {
     }
 }
 
-/// The journal-append hook handed to [`run_supervised`]: freshly
-/// completed outcomes (successes and failures alike) checkpoint as
-/// they land; replayed outcomes never re-append.
-fn journal_hook<T: JournalValue>(
-    journal: &Option<Journal>,
-) -> impl Fn(usize, &TrialOutcome<T>) + Sync + '_ {
-    move |i, outcome| {
-        if let Some(j) = journal {
-            match outcome {
-                TrialOutcome::Done(v) => j.append(&Journal::success_entry(i, v)),
-                TrialOutcome::Failed(f) => j.append(&Journal::failure_entry(f)),
-            }
+/// Checkpoints one freshly completed outcome (success or failure);
+/// replayed outcomes never re-append.
+fn journal_append<T: JournalValue>(journal: &Option<Journal>, outcome: &TrialOutcome<T>, i: usize) {
+    if let Some(j) = journal {
+        match outcome {
+            TrialOutcome::Done(v) => j.append(&Journal::success_entry(i, v)),
+            TrialOutcome::Failed(f) => j.append(&Journal::failure_entry(f)),
         }
     }
 }
@@ -853,23 +727,20 @@ impl<W> Warmup<'_, W> {
         self
     }
 
-    /// Number of sweep points in the plan.
-    pub fn points(&self) -> usize {
-        self.points
-    }
-
     /// Runs `points × trials_per_point` supervised trials. Trial `i`
     /// belongs to point `i / trials_per_point`, receives a shared
     /// reference to that point's warmup state and its own trial stream
     /// `SimRng::seed_from(seed).split(i)` — exactly the stream the same
     /// trial would get from [`Experiment::run_trials`].
     ///
-    /// A warmup that fails supervision fans out to one [`TrialFailure`]
-    /// per (not-yet-journaled) trial of its point, carrying the
-    /// warmup's own kind and error — byte-identical to what the
-    /// per-trial warmup mode produces when the same warmup fails
-    /// inside each trial. On resume, only points that still have
-    /// missing trials are re-warmed.
+    /// With sharing on, every point that still has a missing trial is
+    /// warmed once (the warmups fanned out over the worker pool), then
+    /// all missing trials of all points fan out together. A warmup that
+    /// fails supervision fails the point's not-yet-journaled trials
+    /// with its own kind and error — byte-identical to what the
+    /// per-trial warmup mode produces when the same warmup fails inside
+    /// each trial. On resume, only points that still have missing
+    /// trials are re-warmed.
     pub fn run_trials<S, T, F>(&self, trials_per_point: usize, f: F) -> Vec<TrialOutcome<T>>
     where
         W: Fn(&mut SimRng, usize) -> S + Sync,
@@ -882,107 +753,54 @@ impl<W> Warmup<'_, W> {
         let n = self.points * trials_per_point;
         let stage = exp.stage.fetch_add(1, Ordering::SeqCst);
         let (journal, mut prefill) = exp.open_journal::<T>(stage, n);
+        let plans: Vec<PointPlan> = (0..self.points)
+            .map(|p| PointPlan {
+                seed: exp.seed,
+                point: p,
+                trials: trials_per_point,
+                policy: &exp.settings.policy,
+            })
+            .collect();
 
-        let outcomes = if self.sharing {
-            // Only points with at least one missing trial need warm
-            // state on this (possibly resumed) run.
-            let needed: Vec<bool> = (0..self.points)
-                .map(|p| {
-                    (0..trials_per_point)
-                        .any(|t| !prefill.contains_key(&(p * trials_per_point + t)))
-                })
-                .collect();
-            let skip: BTreeMap<usize, TrialOutcome<Option<S>>> = needed
-                .iter()
-                .enumerate()
-                .filter(|&(_, &need)| !need)
-                .map(|(p, _)| (p, TrialOutcome::Done(None)))
-                .collect();
-            // Warm every needed point once (itself fanned out over the
-            // worker pool, each warmup under its own supervised cycle
-            // budget). Warmups are never journaled: the journal's unit
-            // is the trial.
-            let silent = |_: usize, _: &TrialOutcome<Option<S>>| {};
-            let warm_outcomes = run_supervised(
-                self.points,
-                exp.seed,
-                exp.settings.threads,
-                &exp.settings.policy,
-                skip,
-                &silent,
-                |_, p| {
-                    let mut wrng = exp.warmup_stream(p as u64);
-                    Some((self.warmup)(&mut wrng, p))
-                },
-            );
-            let mut states: Vec<Option<S>> = Vec::with_capacity(self.points);
-            let mut warm_failures: Vec<Option<TrialFailure>> = Vec::with_capacity(self.points);
-            for outcome in warm_outcomes {
-                match outcome {
-                    TrialOutcome::Done(s) => {
-                        states.push(s);
-                        warm_failures.push(None);
-                    }
-                    TrialOutcome::Failed(wf) => {
-                        states.push(None);
-                        warm_failures.push(Some(wf));
-                    }
-                }
-            }
-            // A failed warmup fails the point's remaining trials with
-            // the warmup's own kind/error — the same rows the
-            // per-trial mode produces.
-            for (p, warm_failure) in warm_failures.iter().enumerate() {
-                let Some(wf) = warm_failure else { continue };
-                for t in 0..trials_per_point {
-                    let i = p * trials_per_point + t;
-                    if prefill.contains_key(&i) {
-                        continue;
-                    }
-                    let failure = TrialFailure { trial: i, ..wf.clone() };
-                    if let Some(j) = &journal {
-                        j.append(&Journal::failure_entry(&failure));
-                    }
-                    prefill.insert(i, TrialOutcome::Failed(failure));
-                }
-            }
-            let on_fresh = journal_hook(&journal);
-            run_supervised(
-                n,
-                exp.seed,
-                exp.settings.threads,
-                &exp.settings.policy,
-                prefill,
-                &on_fresh,
-                |rng, i| {
-                    let p = i / trials_per_point;
-                    let state = states[p].as_ref().expect("missing trial implies a warmed point");
-                    f(state, rng, i)
-                },
-            )
-        } else {
-            let on_fresh = journal_hook(&journal);
-            run_supervised(
-                n,
-                exp.seed,
-                exp.settings.threads,
-                &exp.settings.policy,
-                prefill,
-                &on_fresh,
-                |rng, i| {
-                    let p = i / trials_per_point;
-                    let mut wrng = exp.warmup_stream(p as u64);
-                    let state = (self.warmup)(&mut wrng, p);
+        if !self.sharing {
+            return exp.run_missing(n, prefill, &journal, |i| {
+                let plan = &plans[i / trials_per_point];
+                plan.trial(i % trials_per_point, |rng| {
+                    let mut wrng = exec::warmup_stream(exp.seed, plan.point);
+                    let state = (self.warmup)(&mut wrng, plan.point);
                     // Give the trial body the same fresh cycle budget it
-                    // gets in sharing mode (where warmup and trial run as
-                    // separate supervised attempts).
+                    // gets in sharing mode (where warmup and trial run
+                    // as separate supervised attempts).
                     metaleak_sim::watchdog::rearm();
                     f(&state, rng, i)
-                },
-            )
-        };
-        exp.record_failures(&outcomes);
-        outcomes
+                })
+            });
+        }
+
+        // Only points with at least one missing trial need warm state
+        // on this (possibly resumed) run. Warmups are never journaled:
+        // the journal's unit is the trial.
+        let needed: Vec<bool> = plans
+            .iter()
+            .map(|plan| (0..trials_per_point).any(|t| !prefill.contains_key(&plan.trial_id(t))))
+            .collect();
+        let states = exec::map_indexed(self.points, exp.settings.threads, |p| {
+            needed[p].then(|| plans[p].warm(|wrng| (self.warmup)(wrng, p)))
+        });
+        for (plan, state) in plans.iter().zip(&states) {
+            if let Some(TrialOutcome::Failed(wf)) = state {
+                for (i, failure) in plan.warmup_failures(wf, |i| prefill.contains_key(&i)) {
+                    journal_append(&journal, &failure, i);
+                    prefill.insert(i, failure);
+                }
+            }
+        }
+        exp.run_missing(n, prefill, &journal, |i| {
+            let Some(TrialOutcome::Done(state)) = &states[i / trials_per_point] else {
+                unreachable!("a missing trial implies a warmed point")
+            };
+            plans[i / trials_per_point].trial(i % trials_per_point, |rng| f(state, rng, i))
+        })
     }
 }
 
@@ -1010,12 +828,6 @@ mod tests {
 
     fn values<T>(outcomes: Vec<TrialOutcome<T>>) -> Vec<T> {
         outcomes.into_iter().map(TrialOutcome::unwrap).collect()
-    }
-
-    #[test]
-    fn trials_return_in_index_order() {
-        let out = run_trials(16, 7, 4, |_, i| i * 10);
-        assert_eq!(out, (0..16).map(|i| i * 10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1054,7 +866,7 @@ mod tests {
     #[test]
     fn note_failure_reaches_the_artifacts() {
         // External schedulers (the serve worker pool) run trials via
-        // supervisor::supervise directly and register failures here.
+        // the execution core directly and register failures here.
         let dir = std::env::temp_dir().join(format!("metaleak_notef_{}", std::process::id()));
         let settings =
             RunSettings { out_dir: Some(dir.clone()), journal: false, ..RunSettings::default() };
@@ -1073,27 +885,6 @@ mod tests {
         let meta = std::fs::read_to_string(&report.meta).expect("meta");
         assert!(meta.contains("\"degraded\":true"), "{meta}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trial_streams_are_independent_of_thread_count() {
-        let serial = run_trials(12, 0xDEAD, 1, |rng, _| rng.next_u64());
-        let parallel = run_trials(12, 0xDEAD, 8, |rng, _| rng.next_u64());
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn trial_streams_differ_across_trials_and_seeds() {
-        let a = run_trials(4, 1, 2, |rng, _| rng.next_u64());
-        assert_eq!(a.iter().collect::<std::collections::HashSet<_>>().len(), 4);
-        let b = run_trials(4, 2, 2, |rng, _| rng.next_u64());
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn zero_trials_is_fine() {
-        let out: Vec<u64> = run_trials(0, 3, 4, |rng, _| rng.next_u64());
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -1172,20 +963,26 @@ mod tests {
         });
     }
 
+    /// The first draw of trial 0 under `seed`, through the shared map.
+    fn trial0_draw(seed: u64) -> u64 {
+        let policy = SupervisorPolicy::default();
+        let plan = PointPlan { seed, point: 0, trials: 1, policy: &policy };
+        exec::map_indexed(1, 1, |t| plan.trial(t, |rng| rng.next_u64()).unwrap())[0]
+    }
+
     #[test]
     fn aux_streams_avoid_trial_streams() {
         let exp = Experiment::new("aux_test", 5).with_threads(1);
         let mut aux = exp.aux_stream(0);
-        let trial0 = run_trials(1, 5, 1, |rng, _| rng.next_u64());
-        assert_ne!(aux.next_u64(), trial0[0]);
+        assert_ne!(aux.next_u64(), trial0_draw(5));
     }
 
     #[test]
     fn warmup_streams_avoid_trial_and_aux_streams() {
         let exp = Experiment::new("warm_test", 5).with_threads(1);
-        let w = exp.warmup_stream(0).next_u64();
+        let w = exec::warmup_stream(5, 0).next_u64();
         assert_ne!(w, exp.aux_stream(0).next_u64());
-        assert_ne!(w, run_trials(1, 5, 1, |rng, _| rng.next_u64())[0]);
+        assert_ne!(w, trial0_draw(5));
     }
 
     #[test]
@@ -1304,6 +1101,27 @@ mod tests {
         for (sharing, threads) in [(true, 8), (false, 1), (false, 8)] {
             assert_eq!(run(sharing, threads), baseline, "sharing={sharing} threads={threads}");
         }
+    }
+
+    #[test]
+    fn injected_failures_fail_only_their_trial_in_both_warmup_modes() {
+        // The injection list names trials. Index 1 is also a point
+        // index here, but point 1's warmup must still run, so both
+        // modes fail trial 1 alone.
+        let failed = |sharing: bool| {
+            let exp = Experiment::new("inject_warm", 2)
+                .with_threads(1)
+                .with_journal(false)
+                .with_retries(0)
+                .with_injected_failures(vec![1]);
+            let outcomes = exp
+                .with_warmup(2, |wrng, _| wrng.next_u64())
+                .with_sharing(sharing)
+                .run_trials(2, |state, rng, _| state ^ rng.next_u64());
+            (0..outcomes.len()).filter(|&i| outcomes[i].is_failed()).collect::<Vec<_>>()
+        };
+        assert_eq!(failed(true), vec![1], "snapshot sharing");
+        assert_eq!(failed(false), vec![1], "per-trial warmup");
     }
 
     #[test]

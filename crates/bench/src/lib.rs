@@ -17,10 +17,11 @@
 //!
 //! - **experiment seed** — a literal owned by the binary, recorded in
 //!   the emitted metadata;
-//! - **trial streams** — trial/sweep-point `i` draws from
-//!   `SimRng::seed_from(seed).split(i)`, pre-split by
-//!   [`harness::run_trials`], so results are identical for any worker
-//!   thread count;
+//! - **trial streams** — trial `i` draws from
+//!   `SimRng::seed_from(seed).split(i)` and sweep point `p`'s warmup
+//!   from `split(WARMUP_STREAM_BASE + p)`, both pre-split by the
+//!   execution core ([`exec`]), so results are identical for any
+//!   worker thread count;
 //! - **sub-streams** — a trial needing several independent generators
 //!   (payload bits, fault plan, workload...) splits its trial stream
 //!   further: `trial_rng.split(0)`, `trial_rng.split(1)`, ...;
@@ -33,8 +34,10 @@
 #![deny(missing_docs)]
 
 pub mod diag;
+pub mod exec;
 pub mod harness;
 pub mod json;
+pub mod spec;
 pub mod supervisor;
 pub mod trace;
 

@@ -1,8 +1,8 @@
 //! Supervised trial execution: panic isolation, watchdog deadlines,
 //! deterministic retry and the crash-safe trial journal.
 //!
-//! The harness ([`crate::harness`]) runs every trial attempt through
-//! [`run_attempt`], which:
+//! The execution core ([`crate::exec`]) runs every warmup and trial
+//! through [`supervise`], whose attempts each:
 //!
 //! 1. installs (once) a panic hook that *captures* panics on supervised
 //!    threads instead of printing them, recording the message and a
@@ -183,6 +183,14 @@ impl<T> TrialOutcome<T> {
         matches!(self, TrialOutcome::Failed(_))
     }
 
+    /// Maps the value, keeping a failure as it is.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> TrialOutcome<U> {
+        match self {
+            TrialOutcome::Done(v) => TrialOutcome::Done(f(v)),
+            TrialOutcome::Failed(e) => TrialOutcome::Failed(e),
+        }
+    }
+
     /// The value, panicking with the failure description otherwise.
     /// For tests and callers that treat any failure as fatal.
     ///
@@ -359,23 +367,16 @@ fn register_wall_deadline(ms: u64) -> Arc<AtomicBool> {
 // One supervised attempt.
 // ---------------------------------------------------------------------
 
-/// What one failed attempt looked like (before the retry decision).
-pub struct AttemptFailure {
-    /// The typed failure cause.
-    pub kind: FailureKind,
-    /// The panic message / deadline description.
-    pub error: String,
-    /// Captured backtrace, when the hook saw the panic.
-    pub backtrace: Option<String>,
-}
-
-/// Runs one trial attempt under full supervision: capturing panic
-/// hook, armed cycle watchdog and wall-clock backstop per `policy`,
-/// body wrapped in `catch_unwind`.
-pub fn run_attempt<T>(
+/// Runs attempt `attempt` of trial `trial` under full supervision:
+/// capturing panic hook, armed cycle watchdog and wall-clock backstop
+/// per `policy`, body wrapped in `catch_unwind`. A panic or blown
+/// deadline comes back as the attempt's [`TrialFailure`].
+fn run_attempt<T>(
     policy: &SupervisorPolicy,
+    trial: usize,
+    attempt: u32,
     body: impl FnOnce() -> T,
-) -> Result<T, AttemptFailure> {
+) -> Result<T, TrialFailure> {
     install_panic_hook();
     if policy.deadline_cycles.is_some() || policy.wall_ms.is_some() {
         let wall_flag = policy.wall_ms.map(register_wall_deadline);
@@ -386,34 +387,29 @@ pub fn run_attempt<T>(
     let outcome = catch_unwind(AssertUnwindSafe(body));
     SUPERVISED.with(|s| s.set(false));
     watchdog::disarm();
-    match outcome {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            let captured = CAPTURED.with(|c| c.borrow_mut().take());
-            if let Some(d) = payload.downcast_ref::<DeadlineExceeded>() {
-                let kind = if d.wall {
-                    FailureKind::WallDeadline { spent: d.spent }
-                } else {
-                    FailureKind::CycleDeadline { spent: d.spent, limit: d.limit }
-                };
-                Err(AttemptFailure {
-                    kind,
-                    error: d.to_string(),
-                    backtrace: captured.map(|c| c.backtrace),
-                })
-            } else {
-                let error = captured
+    outcome.map_err(|payload| {
+        let captured = CAPTURED.with(|c| c.borrow_mut().take());
+        let (kind, error) = match payload.downcast_ref::<DeadlineExceeded>() {
+            Some(d) if d.wall => (FailureKind::WallDeadline { spent: d.spent }, d.to_string()),
+            Some(d) => {
+                (FailureKind::CycleDeadline { spent: d.spent, limit: d.limit }, d.to_string())
+            }
+            None => (
+                FailureKind::Panic,
+                captured
                     .as_ref()
                     .map(|c| c.message.clone())
-                    .unwrap_or_else(|| payload_message(payload.as_ref()));
-                Err(AttemptFailure {
-                    kind: FailureKind::Panic,
-                    error,
-                    backtrace: captured.map(|c| c.backtrace),
-                })
-            }
+                    .unwrap_or_else(|| payload_message(payload.as_ref())),
+            ),
+        };
+        TrialFailure {
+            trial,
+            attempts: attempt,
+            kind,
+            error,
+            backtrace: captured.map(|c| c.backtrace),
         }
-    }
+    })
 }
 
 /// Runs trial `trial`'s attempts under `policy`: each attempt re-runs
@@ -425,36 +421,30 @@ pub fn supervise<T>(
     trial: usize,
     body: impl Fn() -> T,
 ) -> TrialOutcome<T> {
-    let attempts = policy.max_attempts();
+    let injected = policy.inject.contains(&trial);
     let mut waits = BackoffSchedule::new(policy.backoff_ms);
-    let mut last: Option<TrialFailure> = None;
-    for attempt in 1..=attempts {
-        if attempt > 1 {
-            let wait = waits.next_wait();
-            if wait > 0 {
-                std::thread::sleep(Duration::from_millis(wait));
-            }
-        }
-        let injected = policy.inject.contains(&trial);
-        match run_attempt(policy, || {
+    let mut attempt = 1;
+    loop {
+        let result = run_attempt(policy, trial, attempt, || {
             if injected {
                 panic!("injected failure for trial {trial} (METALEAK_FAIL_TRIAL)");
             }
             body()
-        }) {
+        });
+        match result {
             Ok(v) => return TrialOutcome::Done(v),
-            Err(failure) => {
-                last = Some(TrialFailure {
-                    trial,
-                    attempts: attempt,
-                    kind: failure.kind,
-                    error: failure.error,
-                    backtrace: failure.backtrace,
-                });
+            Err(failure) if attempt >= policy.max_attempts() => {
+                return TrialOutcome::Failed(failure)
+            }
+            Err(_) => {
+                attempt += 1;
+                let wait = waits.next_wait();
+                if wait > 0 {
+                    std::thread::sleep(Duration::from_millis(wait));
+                }
             }
         }
     }
-    TrialOutcome::Failed(last.expect("at least one attempt ran"))
 }
 
 // ---------------------------------------------------------------------
@@ -828,11 +818,6 @@ impl Journal {
             ));
             *guard = None;
         }
-    }
-
-    /// The journal's path (for removal at commit time).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Renders a success entry for trial `trial`.

@@ -17,9 +17,11 @@
 //! - parent selection reads only the corpus state at the candidate's
 //!   **batch boundary** (the corpus is updated between batches, never
 //!   inside one), so generation is independent of sibling ordering;
-//! - threads race only the embarrassingly parallel *evaluations*;
-//!   dedupe, minimization, emission and journal appends happen in a
-//!   single sequential pass in candidate-index order.
+//! - threads race only the embarrassingly parallel *evaluations*
+//!   (the execution core's index-ordered map,
+//!   [`metaleak_bench::exec::map_indexed`]); dedupe, minimization,
+//!   emission and journal appends happen in a single sequential pass
+//!   in candidate-index order.
 //!
 //! # Crash safety
 //!
@@ -40,13 +42,12 @@ use crate::exec;
 use crate::minimize;
 use crate::mutate::{self, Space};
 use crate::spec::{FuzzSpec, PROTOCOL_VERSION};
+use metaleak_bench::exec::map_indexed;
 use metaleak_bench::json::JsonObj;
 use metaleak_bench::supervisor::{Journal, SupervisorPolicy, TrialOutcome};
 use metaleak_sim::rng::SimRng;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// First campaign-generator stream id. Disjoint from the harness's
 /// trial streams (small integers), [`AUX_STREAM_BASE`]
@@ -85,8 +86,8 @@ pub struct CampaignSettings {
     /// Supervision policy for every warmup and trial.
     pub policy: SupervisorPolicy,
     /// Candidate indices whose evaluations get a deliberately injected
-    /// trial failure — the deterministic degraded-candidate testing
-    /// hook (the campaign must carry on).
+    /// failure of trial 0 — the deterministic degraded-candidate
+    /// testing hook (the campaign must carry on).
     pub fail_candidates: Vec<usize>,
 }
 
@@ -197,37 +198,15 @@ pub fn run(settings: &CampaignSettings) -> io::Result<CampaignReport> {
             .filter(|i| !replayed.contains_key(i))
             .map(|i| (i, generate(settings, &corpus, i)))
             .collect();
-        let evals: Vec<Option<exec::Evaluation>> = {
-            let slots: Vec<Mutex<Option<exec::Evaluation>>> =
-                missing.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let workers = settings.threads.clamp(1, missing.len().max(1));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let w = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((i, spec)) = missing.get(w) else { break };
-                        let policy = candidate_policy(settings, *i);
-                        let eval = exec::evaluate(
-                            spec,
-                            eval_seed(settings.seed, *i),
-                            settings.trials,
-                            &policy,
-                        );
-                        *slots[w].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                            Some(eval);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
-                .collect()
-        };
+        let evals = map_indexed(missing.len(), settings.threads, |w| {
+            let (i, spec) = &missing[w];
+            let policy = candidate_policy(settings, *i);
+            exec::evaluate(spec, eval_seed(settings.seed, *i), settings.trials, &policy)
+        });
         let mut fresh_evals = missing
             .into_iter()
             .zip(evals)
-            .map(|((i, spec), eval)| (i, (spec, eval.expect("worker filled its slot"))))
+            .map(|((i, spec), eval)| (i, (spec, eval)))
             .collect::<std::collections::BTreeMap<_, _>>();
 
         // Sequential judgement pass in index order: dedupe, minimize,
@@ -320,7 +299,6 @@ fn ingest_record(corpus: &mut Corpus, report: &mut CampaignReport, record: Candi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::BaseConfig;
 
     fn settings(out: &str, candidates: usize, threads: usize) -> CampaignSettings {
         let out_dir = std::env::temp_dir()
@@ -422,6 +400,5 @@ mod tests {
         assert_eq!(eval_seed(1, 0), eval_seed(1, 0));
         assert_ne!(eval_seed(1, 0), eval_seed(1, 1));
         assert_ne!(eval_seed(1, 0), eval_seed(2, 0));
-        let _ = BaseConfig::Sct; // silence unused-import lints in cfg(test)
     }
 }

@@ -261,10 +261,11 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BaseConfig, VictimKind};
+    use crate::spec::VictimKind;
+    use metaleak::configs::Preset;
 
     fn record(index: usize, min_key: &str) -> CandidateRecord {
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         CandidateRecord {
             index,
             key: spec.content_key(),

@@ -147,17 +147,18 @@ pub fn replay(
 ) -> Result<ReplayOutcome, String> {
     let outcomes = exec::run_spec(&rep.spec, rep.seed, rep.trials, policy);
 
-    // The attribution pass: trial 0 once more, traced. Skipped when
-    // trial 0 failed (nothing meaningful to trace).
+    // The attribution pass: trial 0 once more, traced — the same point
+    // with one trial. Skipped when trial 0 failed (nothing meaningful
+    // to trace).
     let trace_log = if matches!(outcomes.first(), Some(TrialOutcome::Done(_))) {
         let mk = || {
             SecureMemory::builder(rep.spec.build_config())
                 .tracer(RingTracer::new(TRACE_CAPACITY))
                 .build()
         };
-        match exec::run_trial_traced(&rep.spec, rep.seed, 0, policy, mk) {
-            TrialOutcome::Done((_, tracer)) => tracer.map(RingTracer::into_log),
-            TrialOutcome::Failed(_) => None,
+        match exec::run_spec_with(&rep.spec, rep.seed, 1, policy, mk).pop() {
+            Some(TrialOutcome::Done((_, tracer))) => tracer.map(RingTracer::into_log),
+            _ => None,
         }
     } else {
         None
@@ -239,7 +240,8 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BaseConfig, VictimKind};
+    use crate::spec::VictimKind;
+    use metaleak::configs::Preset;
 
     fn quiet_policy() -> SupervisorPolicy {
         SupervisorPolicy {
@@ -262,7 +264,7 @@ mod tests {
     #[test]
     fn reproducer_roundtrips_through_disk() {
         let dir = temp_dir("roundtrip");
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         let rep = Reproducer::for_finding(spec, 0xABCD, 3);
         assert!(rep.name.starts_with("fuzz_"));
         assert_eq!(rep.name.len(), 5 + NAME_KEY_DIGITS);
@@ -275,7 +277,7 @@ mod tests {
     #[test]
     fn replay_confirms_the_counter_channel_and_attributes_it() {
         let dir = temp_dir("replay");
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         let rep = Reproducer::for_finding(spec, 0xF122, 2);
         let out = replay(&rep, &dir, 1, &quiet_policy()).expect("replay");
         assert!(out.verdict.leak, "replayed verdict must reproduce: {:?}", out.verdict);
@@ -290,7 +292,7 @@ mod tests {
     #[test]
     fn mirage_replay_has_no_trace_but_still_judges() {
         let dir = temp_dir("mirage");
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::MirageEvict { installs: 0 });
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::MirageEvict { installs: 0 });
         let rep = Reproducer::for_finding(spec, 0xF122, 2);
         let out = replay(&rep, &dir, 1, &quiet_policy()).expect("replay");
         assert!(out.attribution.is_empty(), "memory-less victim leaves no trace");

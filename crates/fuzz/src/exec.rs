@@ -1,28 +1,29 @@
 //! Candidate execution: paired secret-dependent trial groups through
-//! the supervised harness, forking one warm snapshot copy-on-write.
+//! the shared execution core ([`metaleak_bench::exec::PointPlan`]),
+//! forking one warm snapshot copy-on-write.
 //!
-//! The seeding convention is the harness's, with a single sweep point:
-//! the warmup draws stream [`WARMUP_STREAM_BASE`] and trial `i` draws
-//! stream `i` of `SimRng::seed_from(seed)` — so a campaign evaluation
-//! and an emitted reproducer replayed under
-//! [`metaleak_bench::harness::Experiment`] observe byte-identical
-//! samples. Both warmup and trials run under
-//! [`metaleak_bench::supervisor::supervise`]: a panicking or
+//! A candidate is a single sweep point rooted at its evaluation seed,
+//! so its warmup draws stream `WARMUP_STREAM_BASE` and its trial `t`
+//! draws stream `t`. Replaying an emitted reproducer runs the same
+//! point through the same core, so a campaign evaluation and its
+//! reproducer observe byte-identical samples by construction. The
+//! core supervises the warmup and every trial: a panicking or
 //! deadline-blown body *degrades the candidate* (its outcome carries
-//! the failure) instead of aborting the campaign.
+//! the failure) instead of aborting the campaign, and a failed warmup
+//! fails every trial.
 
 use crate::oracle::{self, Verdict};
 use crate::spec::{FuzzSpec, VictimKind};
 use metaleak_attacks::covert_c::CovertChannelC;
 use metaleak_attacks::covert_t::CovertChannelT;
-use metaleak_bench::harness::WARMUP_STREAM_BASE;
-use metaleak_bench::supervisor::{self, SupervisorPolicy, TrialOutcome};
+use metaleak_bench::exec::PointPlan;
+use metaleak_bench::supervisor::{SupervisorPolicy, TrialOutcome};
 use metaleak_engine::secmem::SecureMemory;
 use metaleak_engine::snapshot::Snapshot;
 use metaleak_mitigations::mirage::{MirageCache, MirageConfig};
 use metaleak_sim::addr::CoreId;
 use metaleak_sim::rng::SimRng;
-use metaleak_sim::trace::{NullTracer, Tracer};
+use metaleak_sim::trace::Tracer;
 
 /// Pooled `(class, value)` observations from one trial.
 pub type Samples = Vec<(u64, u64)>;
@@ -60,17 +61,16 @@ enum Warmed<T: Tracer + Clone> {
     Mirage(MirageConfig),
 }
 
-/// Builds the warm state for `spec`. May panic (channel planning on a
-/// hostile configuration, engine invariants); callers run it under
-/// [`supervisor::supervise`].
+/// Builds the warm state for `spec` from the point's warmup stream.
+/// May panic (channel planning on a hostile configuration, engine
+/// invariants); the execution core supervises it.
 fn warm<T: Tracer + Clone>(
     spec: &FuzzSpec,
-    seed: u64,
+    wrng: &mut SimRng,
     mk: &dyn Fn() -> SecureMemory<T>,
 ) -> Warmed<T> {
     match spec.victim {
         VictimKind::TreeProbe { level } => {
-            let mut wrng = SimRng::seed_from(seed).split(WARMUP_STREAM_BASE);
             let preamble: Vec<bool> = (0..WARMUP_PREAMBLE_BITS).map(|_| wrng.chance(0.5)).collect();
             let mut mem = mk();
             let channel = CovertChannelT::new(&mut mem, CoreId(0), CoreId(1), level, 100)
@@ -157,59 +157,40 @@ fn trial_body<T: Tracer + Clone>(
     }
 }
 
-/// Runs all `trials` of `spec` under supervision, trial `i` on RNG
-/// stream `i` of `seed`. Warmup failure fans out to every trial (the
-/// serve-layer convention), so the caller always gets `trials`
-/// outcomes in index order.
+/// Runs all `trials` of `spec` as one sweep point rooted at `seed`,
+/// with memories from `mk`: trial `t` on stream `t`, outcomes in
+/// index order. Each successful trial also returns its forked
+/// memory's tracer (`None` for the memory-less MIRAGE victim).
+pub(crate) fn run_spec_with<T: Tracer + Clone>(
+    spec: &FuzzSpec,
+    seed: u64,
+    trials: usize,
+    policy: &SupervisorPolicy,
+    mk: impl Fn() -> SecureMemory<T>,
+) -> Vec<TrialOutcome<(Samples, Option<T>)>> {
+    let plan = PointPlan { seed, point: 0, trials, policy };
+    plan.run(
+        |wrng| warm(spec, wrng, &mk),
+        |warmed, rng, _| {
+            let (samples, mem) = trial_body(warmed, spec, rng);
+            (samples, mem.map(SecureMemory::into_tracer))
+        },
+    )
+}
+
+/// Runs all `trials` of `spec` untraced as one sweep point rooted at
+/// `seed`: trial `t` on stream `t`, outcomes in index order. With zero
+/// trials it still warms, and returns no outcomes.
 pub fn run_spec(
     spec: &FuzzSpec,
     seed: u64,
     trials: usize,
     policy: &SupervisorPolicy,
 ) -> Vec<TrialOutcome<Samples>> {
-    let mk = || SecureMemory::new(spec.build_config());
-    let warmed = match supervisor::supervise(policy, 0, || warm::<NullTracer>(spec, seed, &mk)) {
-        TrialOutcome::Done(w) => w,
-        TrialOutcome::Failed(f) => {
-            return (0..trials)
-                .map(|i| {
-                    let mut g = f.clone();
-                    g.trial = i;
-                    TrialOutcome::Failed(g)
-                })
-                .collect();
-        }
-    };
-    (0..trials)
-        .map(|i| {
-            supervisor::supervise(policy, i, || {
-                let mut rng = SimRng::seed_from(seed).split(i as u64);
-                trial_body(&warmed, spec, &mut rng).0
-            })
-        })
+    run_spec_with(spec, seed, trials, policy, || SecureMemory::new(spec.build_config()))
+        .into_iter()
+        .map(|out| out.map(|(samples, _)| samples))
         .collect()
-}
-
-/// Re-runs a single trial with an event-recording tracer, returning
-/// its samples plus the recovered tracer (`None` tracer for the
-/// memory-less MIRAGE victim). Used by reproducer emission to attach
-/// a trace sidecar for cycle attribution.
-pub fn run_trial_traced<T: Tracer + Clone>(
-    spec: &FuzzSpec,
-    seed: u64,
-    trial: usize,
-    policy: &SupervisorPolicy,
-    mk: impl Fn() -> SecureMemory<T>,
-) -> TrialOutcome<(Samples, Option<T>)> {
-    let warmed = match supervisor::supervise(policy, trial, || warm(spec, seed, &mk)) {
-        TrialOutcome::Done(w) => w,
-        TrialOutcome::Failed(f) => return TrialOutcome::Failed(f),
-    };
-    supervisor::supervise(policy, trial, || {
-        let mut rng = SimRng::seed_from(seed).split(trial as u64);
-        let (samples, mem) = trial_body(&warmed, spec, &mut rng);
-        (samples, mem.map(SecureMemory::into_tracer))
-    })
 }
 
 /// Everything the campaign needs to judge one candidate.
@@ -260,7 +241,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::BaseConfig;
+    use metaleak::configs::Preset;
 
     fn quiet_policy() -> SupervisorPolicy {
         SupervisorPolicy {
@@ -274,7 +255,7 @@ mod tests {
 
     #[test]
     fn counter_stress_is_a_known_leak() {
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         let eval = evaluate(&spec, 0xF122, 2, &quiet_policy());
         assert!(!eval.degraded, "counter channel must run clean");
         assert!(eval.is_hit(), "paper channel not rediscovered: {:?}", eval.verdict);
@@ -282,18 +263,28 @@ mod tests {
 
     #[test]
     fn clean_stride_preset_is_not_a_leak() {
-        let spec = FuzzSpec::preset(
-            BaseConfig::Sct,
-            VictimKind::StrideLoop { stride: 8, secret_offset: 0 },
-        );
+        let spec =
+            FuzzSpec::preset(Preset::Sct, VictimKind::StrideLoop { stride: 8, secret_offset: 0 });
         let eval = evaluate(&spec, 0xF122, 2, &quiet_policy());
         assert!(!eval.degraded);
         assert!(!eval.is_hit(), "secret-independent victim judged leaky: {:?}", eval.verdict);
     }
 
     #[test]
+    fn injected_trial_zero_spares_the_warmup() {
+        // Trial 0 shares its index with the single point's warmup; the
+        // injection names the trial, so trial 1 still runs.
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
+        let policy = SupervisorPolicy { inject: vec![0], ..quiet_policy() };
+        let out = run_spec(&spec, 0xF122, 2, &policy);
+        assert!(out[0].is_failed());
+        assert!(!out[1].is_failed(), "warmup must not be injected");
+        assert_eq!(evaluate(&spec, 0xF122, 2, &policy).failed_trials, 1);
+    }
+
+    #[test]
     fn injected_panic_degrades_candidate_not_campaign() {
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         let policy = SupervisorPolicy { inject: vec![1], ..quiet_policy() };
         let eval = evaluate(&spec, 0xF122, 2, &policy);
         assert!(eval.degraded, "injected failure must mark the candidate degraded");
@@ -303,7 +294,7 @@ mod tests {
 
     #[test]
     fn evaluation_is_seed_deterministic() {
-        let spec = FuzzSpec::preset(BaseConfig::Sct, VictimKind::TreeProbe { level: 0 });
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::TreeProbe { level: 0 });
         let a = evaluate(&spec, 0xF122, 2, &quiet_policy());
         let b = evaluate(&spec, 0xF122, 2, &quiet_policy());
         assert_eq!(a, b);

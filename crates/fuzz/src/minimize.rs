@@ -14,6 +14,7 @@
 
 use crate::exec::{self, Evaluation};
 use crate::spec::{FuzzSpec, VictimKind, INSTALL_MENU, OFFSET_MENU, PAYLOAD_MENU};
+use metaleak_bench::spec::Overrides;
 use metaleak_bench::supervisor::SupervisorPolicy;
 
 /// The minimizer's result: the reduced spec, its (re-)evaluation, and
@@ -53,17 +54,18 @@ fn reductions(spec: &FuzzSpec) -> Vec<FuzzSpec> {
         out.push(s);
     }
     // 2. Clear each config override.
-    if spec.mee_extra.is_some() {
-        out.push(FuzzSpec { mee_extra: None, ..spec.clone() });
+    let o = spec.overrides;
+    if o.mee_extra.is_some() {
+        out.push(FuzzSpec { overrides: Overrides { mee_extra: None, ..o }, ..spec.clone() });
     }
-    if spec.pages.is_some() {
-        out.push(FuzzSpec { pages: None, ..spec.clone() });
+    if o.pages.is_some() {
+        out.push(FuzzSpec { overrides: Overrides { pages: None, ..o }, ..spec.clone() });
     }
-    if spec.noise_sd.is_some() {
-        out.push(FuzzSpec { noise_sd: None, ..spec.clone() });
+    if o.noise_sd.is_some() {
+        out.push(FuzzSpec { overrides: Overrides { noise_sd: None, ..o }, ..spec.clone() });
     }
-    if spec.tree_minor_bits.is_some() {
-        out.push(FuzzSpec { tree_minor_bits: None, ..spec.clone() });
+    if o.tree_minor_bits.is_some() {
+        out.push(FuzzSpec { overrides: Overrides { tree_minor_bits: None, ..o }, ..spec.clone() });
     }
     // 3. Return victim parameters toward the preset: the full jump
     //    first, then a single menu step for the graded parameters.
@@ -132,7 +134,8 @@ pub fn minimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BaseConfig, FaultFamily, FaultSpec};
+    use crate::spec::{FaultFamily, FaultSpec};
+    use metaleak::configs::Preset;
 
     fn quiet_policy() -> SupervisorPolicy {
         SupervisorPolicy {
@@ -150,7 +153,7 @@ mod tests {
         // reduction at all: the minimizer must return it unchanged.
         let spec = FuzzSpec {
             payload: PAYLOAD_MENU[0],
-            ..FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress)
+            ..FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress)
         };
         let policy = quiet_policy();
         let eval = exec::evaluate(&spec, 0xF122, 2, &policy);
@@ -167,9 +170,9 @@ mod tests {
         // counter channel are not load-bearing; minimization should
         // strip them back to (or at least toward) the preset.
         let spec = FuzzSpec {
-            pages: Some(8192),
+            overrides: Overrides { pages: Some(8192), ..Overrides::default() },
             faults: vec![FaultSpec { family: FaultFamily::Drop, level: 1 }],
-            ..FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress)
+            ..FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress)
         };
         let policy = quiet_policy();
         let eval = exec::evaluate(&spec, 0xF123, 2, &policy);
@@ -177,7 +180,7 @@ mod tests {
         let min = minimize(&spec, &eval, 0xF123, 2, &policy);
         assert!(min.steps >= 2, "expected both riders stripped, got {} steps", min.steps);
         assert!(min.spec.faults.is_empty());
-        assert_eq!(min.spec.pages, None);
+        assert_eq!(min.spec.overrides.pages, None);
         assert!(min.eval.is_hit());
     }
 }

@@ -9,9 +9,10 @@
 //! delta-debugger's reduction steps aligned with the generator's.
 
 use crate::spec::{
-    BaseConfig, FaultSpec, FuzzSpec, VictimKind, FAULT_FAMILIES, INSTALL_MENU, MAX_FAULTS,
-    MEE_MENU, NOISE_MENU, OFFSET_MENU, PAGES_MENU, PAYLOAD_MENU, STRIDE_MENU,
+    FaultSpec, FuzzSpec, VictimKind, FAULT_FAMILIES, INSTALL_MENU, MAX_FAULTS, MEE_MENU,
+    NOISE_MENU, OFFSET_MENU, PAGES_MENU, PAYLOAD_MENU, STRIDE_MENU,
 };
+use metaleak::configs::Preset;
 use metaleak_sim::rng::SimRng;
 
 /// A named subspace of the full search space: which base
@@ -21,7 +22,7 @@ pub struct Space {
     /// The subspace name (`full` / `sct-counter` / `mirage`).
     pub name: &'static str,
     /// Base configurations in play.
-    pub bases: Vec<BaseConfig>,
+    pub bases: Vec<Preset>,
     /// Victim families in play, by wire name.
     pub victims: Vec<&'static str>,
 }
@@ -38,19 +39,17 @@ pub fn space(name: &str) -> Option<Space> {
     match name {
         "full" => Some(Space {
             name: "full",
-            bases: vec![BaseConfig::Sct, BaseConfig::Ht, BaseConfig::Sit],
+            bases: vec![Preset::Sct, Preset::Ht, Preset::Sit],
             victims: vec!["tree_probe", "counter_stress", "stride_loop", "mirage_evict"],
         }),
         "sct-counter" => Some(Space {
             name: "sct-counter",
-            bases: vec![BaseConfig::Sct],
+            bases: vec![Preset::Sct],
             victims: vec!["counter_stress", "stride_loop"],
         }),
-        "mirage" => Some(Space {
-            name: "mirage",
-            bases: vec![BaseConfig::Sct],
-            victims: vec!["mirage_evict"],
-        }),
+        "mirage" => {
+            Some(Space { name: "mirage", bases: vec![Preset::Sct], victims: vec!["mirage_evict"] })
+        }
         _ => None,
     }
 }
@@ -68,8 +67,8 @@ fn preset_victim(family: &str) -> VictimKind {
     }
 }
 
-fn compatible(base: BaseConfig, family: &str) -> bool {
-    family != "counter_stress" || base == BaseConfig::Sct
+fn compatible(base: Preset, family: &str) -> bool {
+    family != "counter_stress" || base == Preset::Sct
 }
 
 impl Space {
@@ -99,11 +98,20 @@ fn mutate_once(spec: &FuzzSpec, space: &Space, rng: &mut SimRng) -> FuzzSpec {
     match rng.index(8) {
         0 => out.payload = pick(rng, &PAYLOAD_MENU),
         1 => {
-            out.tree_minor_bits = if rng.chance(0.4) { None } else { Some(1 + rng.below(7) as u8) }
+            out.overrides.tree_minor_bits =
+                if rng.chance(0.4) { None } else { Some(1 + rng.below(7) as u8) }
         }
-        2 => out.noise_sd = if rng.chance(0.4) { None } else { Some(pick(rng, &NOISE_MENU)) },
-        3 => out.pages = if rng.chance(0.4) { None } else { Some(pick(rng, &PAGES_MENU)) },
-        4 => out.mee_extra = if rng.chance(0.4) { None } else { Some(pick(rng, &MEE_MENU)) },
+        2 => {
+            out.overrides.noise_sd =
+                if rng.chance(0.4) { None } else { Some(pick(rng, &NOISE_MENU)) }
+        }
+        3 => {
+            out.overrides.pages = if rng.chance(0.4) { None } else { Some(pick(rng, &PAGES_MENU)) }
+        }
+        4 => {
+            out.overrides.mee_extra =
+                if rng.chance(0.4) { None } else { Some(pick(rng, &MEE_MENU)) }
+        }
         5 => {
             // Grow, shrink or re-roll the interference plan.
             if !out.faults.is_empty() && rng.chance(0.34) {
@@ -195,18 +203,18 @@ mod tests {
     fn mutation_always_yields_valid_specs() {
         let sp = space("full").unwrap();
         let mut rng = SimRng::seed_from(7);
-        let mut current = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let mut current = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         for _ in 0..500 {
             current = mutate(&current, &sp, &mut rng);
             current.validate().expect("mutant validates");
-            assert_eq!(current.base, BaseConfig::Sct, "mutation never changes the base");
+            assert_eq!(current.base, Preset::Sct, "mutation never changes the base");
         }
     }
 
     #[test]
     fn mutation_is_stream_deterministic() {
         let sp = space("full").unwrap();
-        let parent = FuzzSpec::preset(BaseConfig::Sit, VictimKind::TreeProbe { level: 1 });
+        let parent = FuzzSpec::preset(Preset::Sit, VictimKind::TreeProbe { level: 1 });
         let a = mutate(&parent, &sp, &mut SimRng::seed_from(42).split(3));
         let b = mutate(&parent, &sp, &mut SimRng::seed_from(42).split(3));
         assert_eq!(a, b);

@@ -2,11 +2,12 @@
 //! victim × interference search space.
 //!
 //! A [`FuzzSpec`] is everything a candidate execution depends on: a
-//! base configuration preset, a small set of bounds-checked config
-//! overrides (applied through
-//! [`metaleak_engine::config::SecureConfigBuilder`], so the fuzzer can
-//! never construct a memory shape the engine's own builder would not),
-//! a parameterized secret-dependent victim program, and a bounded
+//! base configuration [`Preset`], a small set of bounds-checked config
+//! [`Overrides`] (applied by the shared spec core
+//! [`metaleak_bench::spec`] through `SecureConfigBuilder`, so the
+//! fuzzer can never construct a memory shape the engine's own builder
+//! would not), a parameterized secret-dependent victim program, and a
+//! bounded
 //! [`FaultKind`]-based interference plan. Every knob draws from a
 //! small quantized menu rather than a continuum — that keeps the
 //! space finite, makes mutation and delta-debugging steps meaningful,
@@ -15,20 +16,19 @@
 //!
 //! # Content addressing
 //!
-//! [`FuzzSpec::content_key`] follows the serve-layer convention
-//! (`crates/serve/src/spec.rs`): SHA-256 over the canonical JSON
-//! rendering (fixed field order, defaults materialized), a fuzz
-//! protocol version and the engine's
-//! [`metaleak_engine::STATE_SHAPE`] tag. The corpus dedupes hits on
-//! this key, so a leak found twice through different mutation paths is
-//! catalogued once — and an engine refactor that changes simulated
-//! state invalidates every stale key.
+//! [`FuzzSpec::content_key`] is the shared core's content key (the
+//! one `metaleak-serve` uses) over the canonical JSON rendering (fixed
+//! field order, defaults materialized) under the `metaleak-fuzz/v1`
+//! protocol tag. The corpus dedupes hits on this key, so a leak found
+//! twice through different mutation paths is catalogued once — and an
+//! engine refactor that changes simulated state invalidates every
+//! stale key.
 
-use metaleak::configs;
+use metaleak::configs::Preset;
 use metaleak_bench::json::{Json, JsonObj};
+use metaleak_bench::spec::{self, Overrides, SpecError};
 use metaleak_bench::supervisor::JournalValue;
-use metaleak_crypto::sha256::{self, Sha256};
-use metaleak_engine::config::{SecureConfig, SecureConfigBuilder};
+use metaleak_engine::config::SecureConfig;
 use metaleak_sim::interference::{FaultKind, FaultPlan};
 
 /// Version tag folded into every content key: bump when the fuzzer's
@@ -68,64 +68,6 @@ pub const INSTALL_MENU: [u64; 4] = [0, 500, 2000, 8000];
 /// spec fully determines its execution — the *plan*, not its seed, is
 /// the mutation axis.
 pub const FAULT_PLAN_SEED: u64 = 0xF0CC_1EA4_CAFE_0001;
-
-/// A spec that failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(pub String);
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn err(msg: impl Into<String>) -> SpecError {
-    SpecError(msg.into())
-}
-
-/// A secure-memory base configuration preset, by wire name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaseConfig {
-    /// Split counters + split-counter tree (VAULT-style).
-    Sct,
-    /// Bonsai Merkle hash tree.
-    Ht,
-    /// SGX-like: monolithic counters, 8-ary SIT, MEE latencies.
-    Sit,
-}
-
-impl BaseConfig {
-    /// The wire name (`"sct"` / `"ht"` / `"sit"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BaseConfig::Sct => "sct",
-            BaseConfig::Ht => "ht",
-            BaseConfig::Sit => "sit",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sct" => Some(BaseConfig::Sct),
-            "ht" => Some(BaseConfig::Ht),
-            "sit" => Some(BaseConfig::Sit),
-            _ => None,
-        }
-    }
-
-    /// The tree level the tree-probe victim monitors by default on
-    /// this configuration (level 0 on SCT-style trees, level 1 on the
-    /// SGX SIT — the Figure-11 setup).
-    pub fn default_probe_level(self) -> u8 {
-        match self {
-            BaseConfig::Sct | BaseConfig::Ht => 0,
-            BaseConfig::Sit => 1,
-        }
-    }
-}
 
 /// One parameterized secret-dependent victim program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,23 +133,22 @@ impl VictimKind {
         let kind = v
             .get("kind")
             .and_then(Json::as_str)
-            .ok_or_else(|| err("victim needs a string \"kind\""))?;
+            .ok_or_else(|| SpecError::new("victim needs a string \"kind\""))?;
         match kind {
             "tree_probe" => {
                 let level = v
                     .get("level")
                     .and_then(Json::as_u64)
                     .filter(|&l| l <= 2)
-                    .ok_or_else(|| err("tree_probe \"level\" must be in 0..=2"))?;
+                    .ok_or_else(|| SpecError::new("tree_probe \"level\" must be in 0..=2"))?;
                 Ok(VictimKind::TreeProbe { level: level as u8 })
             }
             "counter_stress" => Ok(VictimKind::CounterStress),
             "stride_loop" => {
                 let menu_u64 = |key: &str, menu: &[u64]| {
-                    v.get(key)
-                        .and_then(Json::as_u64)
-                        .filter(|x| menu.contains(x))
-                        .ok_or_else(|| err(format!("stride_loop {key:?} must be one of {menu:?}")))
+                    v.get(key).and_then(Json::as_u64).filter(|x| menu.contains(x)).ok_or_else(
+                        || SpecError::new(format!("stride_loop {key:?} must be one of {menu:?}")),
+                    )
                 };
                 Ok(VictimKind::StrideLoop {
                     stride: menu_u64("stride", &STRIDE_MENU)?,
@@ -220,11 +161,13 @@ impl VictimKind {
                     .and_then(Json::as_u64)
                     .filter(|x| INSTALL_MENU.contains(x))
                     .ok_or_else(|| {
-                        err(format!("mirage_evict \"installs\" must be one of {INSTALL_MENU:?}"))
+                        SpecError::new(format!(
+                            "mirage_evict \"installs\" must be one of {INSTALL_MENU:?}"
+                        ))
                     })?;
                 Ok(VictimKind::MirageEvict { installs })
             }
-            other => Err(err(format!("unknown victim kind {other:?}"))),
+            other => Err(SpecError::new(format!("unknown victim kind {other:?}"))),
         }
     }
 }
@@ -313,12 +256,12 @@ impl FaultSpec {
             .get("family")
             .and_then(Json::as_str)
             .and_then(FaultFamily::parse)
-            .ok_or_else(|| err("fault needs a known \"family\""))?;
+            .ok_or_else(|| SpecError::new("fault needs a known \"family\""))?;
         let level = v
             .get("level")
             .and_then(Json::as_u64)
             .filter(|&l| (1..=3).contains(&l))
-            .ok_or_else(|| err("fault \"level\" must be in 1..=3"))?;
+            .ok_or_else(|| SpecError::new("fault \"level\" must be in 1..=3"))?;
         Ok(FaultSpec { family, level: level as u8 })
     }
 }
@@ -328,20 +271,16 @@ impl FaultSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzSpec {
     /// Base configuration preset.
-    pub base: BaseConfig,
+    pub base: Preset,
     /// The secret-dependent victim program.
     pub victim: VictimKind,
     /// Samples per trial (bits / symbols / probed reads), from
     /// [`PAYLOAD_MENU`].
     pub payload: usize,
-    /// Tree minor-counter width override (SCT only, 1..=7).
-    pub tree_minor_bits: Option<u8>,
-    /// Gaussian latency-jitter override, from [`NOISE_MENU`].
-    pub noise_sd: Option<f64>,
-    /// Protected-region size override, from [`PAGES_MENU`].
-    pub pages: Option<u64>,
-    /// MEE pipeline-overhead override, from [`MEE_MENU`].
-    pub mee_extra: Option<u64>,
+    /// Config overrides: tree minor-counter width (SCT only, 1..=7),
+    /// `noise_sd` from [`NOISE_MENU`], `pages` from [`PAGES_MENU`] and
+    /// `mee_extra` from [`MEE_MENU`].
+    pub overrides: Overrides,
     /// Bounded interference plan (at most [`MAX_FAULTS`] processes).
     pub faults: Vec<FaultSpec>,
 }
@@ -350,11 +289,9 @@ impl FuzzSpec {
     /// The minimal (preset) spec for a base configuration and victim
     /// family: default victim parameters, no config overrides, no
     /// interference. This is what the delta-debugger minimizes toward.
-    pub fn preset(base: BaseConfig, victim: VictimKind) -> FuzzSpec {
+    pub fn preset(base: Preset, victim: VictimKind) -> FuzzSpec {
         let victim = match victim {
-            VictimKind::TreeProbe { .. } => {
-                VictimKind::TreeProbe { level: base.default_probe_level() }
-            }
+            VictimKind::TreeProbe { .. } => VictimKind::TreeProbe { level: base.covert_t_level() },
             VictimKind::CounterStress => VictimKind::CounterStress,
             VictimKind::StrideLoop { .. } => {
                 VictimKind::StrideLoop { stride: STRIDE_MENU[3], secret_offset: 0 }
@@ -365,10 +302,7 @@ impl FuzzSpec {
             base,
             victim,
             payload: PAYLOAD_MENU[2],
-            tree_minor_bits: None,
-            noise_sd: None,
-            pages: None,
-            mee_extra: None,
+            overrides: Overrides::default(),
             faults: Vec::new(),
         }
     }
@@ -379,83 +313,60 @@ impl FuzzSpec {
     /// [`SpecError`] naming the violated constraint.
     pub fn validate(&self) -> Result<(), SpecError> {
         if !PAYLOAD_MENU.contains(&self.payload) {
-            return Err(err(format!("payload must be one of {PAYLOAD_MENU:?}")));
+            return Err(SpecError::new(format!("payload must be one of {PAYLOAD_MENU:?}")));
         }
-        if let Some(bits) = self.tree_minor_bits {
-            if !(1..=7).contains(&bits) {
-                return Err(err("tree_minor_bits must be in 1..=7"));
-            }
-            if self.base != BaseConfig::Sct {
-                return Err(err("tree_minor_bits override requires the sct base"));
-            }
+        let o = &self.overrides;
+        if o.tree_minor_bits.is_some_and(|bits| !(1..=7).contains(&bits)) {
+            return Err(SpecError::new("tree_minor_bits must be in 1..=7"));
         }
-        if let Some(sd) = self.noise_sd {
-            if !NOISE_MENU.contains(&sd) {
-                return Err(err(format!("noise_sd must be one of {NOISE_MENU:?}")));
-            }
+        o.check(&[self.base])?;
+        if o.noise_sd.is_some_and(|sd| !NOISE_MENU.contains(&sd)) {
+            return Err(SpecError::new(format!("noise_sd must be one of {NOISE_MENU:?}")));
         }
-        if let Some(p) = self.pages {
-            if !PAGES_MENU.contains(&p) {
-                return Err(err(format!("pages must be one of {PAGES_MENU:?}")));
-            }
+        if o.pages.is_some_and(|p| !PAGES_MENU.contains(&p)) {
+            return Err(SpecError::new(format!("pages must be one of {PAGES_MENU:?}")));
         }
-        if let Some(m) = self.mee_extra {
-            if !MEE_MENU.contains(&m) {
-                return Err(err(format!("mee_extra must be one of {MEE_MENU:?}")));
-            }
+        if o.mee_extra.is_some_and(|m| !MEE_MENU.contains(&m)) {
+            return Err(SpecError::new(format!("mee_extra must be one of {MEE_MENU:?}")));
         }
         if self.faults.len() > MAX_FAULTS {
-            return Err(err(format!("at most {MAX_FAULTS} fault processes")));
+            return Err(SpecError::new(format!("at most {MAX_FAULTS} fault processes")));
         }
         for f in &self.faults {
             if !(1..=3).contains(&f.level) {
-                return Err(err("fault level must be in 1..=3"));
+                return Err(SpecError::new("fault level must be in 1..=3"));
             }
         }
         match self.victim {
-            VictimKind::CounterStress if self.base != BaseConfig::Sct => {
-                Err(err("counter_stress requires the sct base"))
+            VictimKind::CounterStress if self.base != Preset::Sct => {
+                Err(SpecError::new("counter_stress requires the sct base"))
             }
             VictimKind::TreeProbe { level } if level > 2 => {
-                Err(err("tree_probe level must be in 0..=2"))
+                Err(SpecError::new("tree_probe level must be in 0..=2"))
             }
             VictimKind::StrideLoop { stride, secret_offset } => {
                 if !STRIDE_MENU.contains(&stride) {
-                    return Err(err(format!("stride must be one of {STRIDE_MENU:?}")));
+                    return Err(SpecError::new(format!("stride must be one of {STRIDE_MENU:?}")));
                 }
                 if !OFFSET_MENU.contains(&secret_offset) {
-                    return Err(err(format!("secret_offset must be one of {OFFSET_MENU:?}")));
+                    return Err(SpecError::new(format!(
+                        "secret_offset must be one of {OFFSET_MENU:?}"
+                    )));
                 }
                 Ok(())
             }
             VictimKind::MirageEvict { installs } if !INSTALL_MENU.contains(&installs) => {
-                Err(err(format!("installs must be one of {INSTALL_MENU:?}")))
+                Err(SpecError::new(format!("installs must be one of {INSTALL_MENU:?}")))
             }
             _ => Ok(()),
         }
     }
 
-    /// Builds the secure-memory configuration this spec denotes, all
-    /// overrides applied through [`SecureConfigBuilder`].
+    /// Builds the secure-memory configuration this spec denotes: the
+    /// overrides through the shared spec core, then the interference
+    /// plan.
     pub fn build_config(&self) -> SecureConfig {
-        let base = match self.base {
-            BaseConfig::Sct => match self.tree_minor_bits {
-                Some(bits) => configs::sct_experiment_with_tree_bits(bits),
-                None => configs::sct_experiment(),
-            },
-            BaseConfig::Ht => configs::ht_experiment(),
-            BaseConfig::Sit => configs::sgx_experiment(),
-        };
-        let mut builder = SecureConfigBuilder::from_config(base);
-        if let Some(sd) = self.noise_sd {
-            builder = builder.noise_sd(sd);
-        }
-        if let Some(pages) = self.pages {
-            builder = builder.data_pages(pages);
-        }
-        if let Some(extra) = self.mee_extra {
-            builder = builder.mee_extra(extra);
-        }
+        let mut builder = self.overrides.builder(self.base);
         if !self.faults.is_empty() {
             let mut plan = FaultPlan::clean().seeded(FAULT_PLAN_SEED);
             for f in &self.faults {
@@ -466,27 +377,19 @@ impl FuzzSpec {
         builder.build()
     }
 
+    fn faults_json(&self) -> Json {
+        Json::Arr(self.faults.iter().map(|f| f.canonical()).collect())
+    }
+
     /// The canonical JSON rendering: fixed field order with every
     /// default materialized, so two specs that execute identically
     /// render identically.
     pub fn canonical(&self) -> Json {
-        let mut obj = JsonObj::new()
+        let obj = JsonObj::new()
             .field("base", self.base.name())
             .field("victim", self.victim.canonical())
             .field("payload", self.payload);
-        if let Some(bits) = self.tree_minor_bits {
-            obj = obj.field("tree_minor_bits", bits);
-        }
-        if let Some(sd) = self.noise_sd {
-            obj = obj.field("noise_sd", sd);
-        }
-        if let Some(pages) = self.pages {
-            obj = obj.field("pages", pages);
-        }
-        if let Some(extra) = self.mee_extra {
-            obj = obj.field("mee_extra", extra);
-        }
-        obj.field("faults", Json::Arr(self.faults.iter().map(|f| f.canonical()).collect())).build()
+        self.overrides.render_into(obj).field("faults", self.faults_json()).build()
     }
 
     /// Parses and validates a spec from its canonical JSON form.
@@ -496,7 +399,7 @@ impl FuzzSpec {
     /// values.
     pub fn from_json(v: &Json) -> Result<FuzzSpec, SpecError> {
         let Json::Obj(fields) = v else {
-            return Err(err("spec must be a JSON object"));
+            return Err(SpecError::new("spec must be a JSON object"));
         };
         const KNOWN: [&str; 8] = [
             "base",
@@ -510,56 +413,55 @@ impl FuzzSpec {
         ];
         for (key, _) in fields {
             if !KNOWN.contains(&key.as_str()) {
-                return Err(err(format!("unknown spec field {key:?}")));
+                return Err(SpecError::new(format!("unknown spec field {key:?}")));
             }
         }
         let base = v
             .get("base")
             .and_then(Json::as_str)
-            .and_then(BaseConfig::parse)
-            .ok_or_else(|| err("\"base\" must be sct | ht | sit"))?;
-        let victim =
-            VictimKind::from_json(v.get("victim").ok_or_else(|| err("missing \"victim\""))?)?;
+            .and_then(Preset::parse)
+            .ok_or_else(|| SpecError::new("\"base\" must be sct | ht | sit"))?;
+        let victim = VictimKind::from_json(
+            v.get("victim").ok_or_else(|| SpecError::new("missing \"victim\""))?,
+        )?;
         let payload = v
             .get("payload")
             .and_then(Json::as_u64)
-            .ok_or_else(|| err("\"payload\" must be an integer"))? as usize;
+            .ok_or_else(|| SpecError::new("\"payload\" must be an integer"))?
+            as usize;
         let opt_u64 = |key: &str| {
             v.get(key)
-                .map(|x| x.as_u64().ok_or_else(|| err(format!("{key:?} must be an integer"))))
+                .map(|x| {
+                    x.as_u64().ok_or_else(|| SpecError::new(format!("{key:?} must be an integer")))
+                })
                 .transpose()
         };
-        let tree_minor_bits = opt_u64("tree_minor_bits")?.map(|b| b as u8);
-        let noise_sd = v
-            .get("noise_sd")
-            .map(|x| x.as_f64().ok_or_else(|| err("\"noise_sd\" must be a number")))
-            .transpose()?;
-        let pages = opt_u64("pages")?;
-        let mee_extra = opt_u64("mee_extra")?;
+        let overrides = Overrides {
+            tree_minor_bits: opt_u64("tree_minor_bits")?.map(|b| b as u8),
+            noise_sd: v
+                .get("noise_sd")
+                .map(|x| x.as_f64().ok_or_else(|| SpecError::new("\"noise_sd\" must be a number")))
+                .transpose()?,
+            pages: opt_u64("pages")?,
+            mee_extra: opt_u64("mee_extra")?,
+        };
         let faults = v
             .get("faults")
             .and_then(Json::as_arr)
-            .ok_or_else(|| err("missing array \"faults\""))?
+            .ok_or_else(|| SpecError::new("missing array \"faults\""))?
             .iter()
             .map(FaultSpec::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let spec =
-            FuzzSpec { base, victim, payload, tree_minor_bits, noise_sd, pages, mee_extra, faults };
+        let spec = FuzzSpec { base, victim, payload, overrides, faults };
         spec.validate()?;
         Ok(spec)
     }
 
-    /// The content key addressing this spec in the corpus: SHA-256
-    /// over the canonical spec, the fuzz protocol version and the
-    /// engine's state-shape tag — the serve-layer convention, so keys
-    /// go stale exactly when cached artifacts would.
+    /// The content key addressing this spec in the corpus (see the
+    /// module docs), so keys go stale exactly when cached serve
+    /// artifacts would.
     pub fn content_key(&self) -> String {
-        let material = format!(
-            "metaleak-fuzz/v{PROTOCOL_VERSION}\n{}\n{}",
-            metaleak_engine::STATE_SHAPE,
-            self.canonical().render()
-        );
-        sha256::hex(&Sha256::digest(material.as_bytes()))
+        spec::content_key(&format!("metaleak-fuzz/v{PROTOCOL_VERSION}"), &self.canonical())
     }
 
     /// The preset this spec is a delta from (same base, same victim
@@ -580,24 +482,10 @@ impl FuzzSpec {
         if self.payload != preset.payload {
             obj = obj.field("payload", self.payload);
         }
-        if self.tree_minor_bits != preset.tree_minor_bits {
-            obj = obj.field(
-                "tree_minor_bits",
-                self.tree_minor_bits.map(Json::from).unwrap_or(Json::Null),
-            );
-        }
-        if self.noise_sd != preset.noise_sd {
-            obj = obj.field("noise_sd", self.noise_sd.map(Json::from).unwrap_or(Json::Null));
-        }
-        if self.pages != preset.pages {
-            obj = obj.field("pages", self.pages.map(Json::from).unwrap_or(Json::Null));
-        }
-        if self.mee_extra != preset.mee_extra {
-            obj = obj.field("mee_extra", self.mee_extra.map(Json::from).unwrap_or(Json::Null));
-        }
+        // A preset has no overrides, so every override set is a delta.
+        obj = self.overrides.render_into(obj);
         if self.faults != preset.faults {
-            obj =
-                obj.field("faults", Json::Arr(self.faults.iter().map(|f| f.canonical()).collect()));
+            obj = obj.field("faults", self.faults_json());
         }
         obj.build()
     }
@@ -617,9 +505,32 @@ impl JournalValue for FuzzSpec {
 mod tests {
     use super::*;
 
+    /// Default overrides with one knob set.
+    fn with(set: impl FnOnce(&mut Overrides)) -> Overrides {
+        let mut o = Overrides::default();
+        set(&mut o);
+        o
+    }
+
+    #[test]
+    fn content_key_derivation_is_pinned() {
+        // The corpus key material: protocol tag, engine state shape
+        // and the canonical render, one per line. A change here
+        // re-keys every corpus entry and reproducer.
+        let spec = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
+        let canonical = spec.canonical().render();
+        assert_eq!(
+            canonical,
+            r#"{"base":"sct","victim":{"kind":"counter_stress"},"payload":32,"faults":[]}"#
+        );
+        let material = format!("metaleak-fuzz/v1\n{}\n{canonical}", metaleak_engine::STATE_SHAPE);
+        let expected = metaleak_crypto::sha256::Sha256::digest(material.as_bytes());
+        assert_eq!(spec.content_key(), metaleak_crypto::sha256::hex(&expected));
+    }
+
     #[test]
     fn preset_specs_validate_and_roundtrip() {
-        for base in [BaseConfig::Sct, BaseConfig::Ht, BaseConfig::Sit] {
+        for base in [Preset::Sct, Preset::Ht, Preset::Sit] {
             for victim in [
                 VictimKind::TreeProbe { level: 0 },
                 VictimKind::StrideLoop { stride: 8, secret_offset: 0 },
@@ -631,26 +542,26 @@ mod tests {
                 assert_eq!(spec, back);
             }
         }
-        let counter = FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress);
+        let counter = FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress);
         counter.validate().expect("counter preset");
         assert_eq!(counter, FuzzSpec::from_json(&counter.canonical()).unwrap());
     }
 
     #[test]
     fn content_key_covers_every_axis() {
-        let base = FuzzSpec::preset(BaseConfig::Sct, VictimKind::TreeProbe { level: 0 });
+        let base = FuzzSpec::preset(Preset::Sct, VictimKind::TreeProbe { level: 0 });
         let mut variants = vec![
             FuzzSpec { payload: 64, ..base.clone() },
-            FuzzSpec { tree_minor_bits: Some(3), ..base.clone() },
-            FuzzSpec { noise_sd: Some(20.0), ..base.clone() },
-            FuzzSpec { pages: Some(8192), ..base.clone() },
-            FuzzSpec { mee_extra: Some(20), ..base.clone() },
+            FuzzSpec { overrides: with(|o| o.tree_minor_bits = Some(3)), ..base.clone() },
+            FuzzSpec { overrides: with(|o| o.noise_sd = Some(20.0)), ..base.clone() },
+            FuzzSpec { overrides: with(|o| o.pages = Some(8192)), ..base.clone() },
+            FuzzSpec { overrides: with(|o| o.mee_extra = Some(20)), ..base.clone() },
             FuzzSpec {
                 faults: vec![FaultSpec { family: FaultFamily::Gaussian, level: 2 }],
                 ..base.clone()
             },
             FuzzSpec { victim: VictimKind::TreeProbe { level: 1 }, ..base.clone() },
-            FuzzSpec::preset(BaseConfig::Ht, VictimKind::TreeProbe { level: 0 }),
+            FuzzSpec::preset(Preset::Ht, VictimKind::TreeProbe { level: 0 }),
         ];
         let mut keys: Vec<String> = vec![base.content_key()];
         for v in variants.drain(..) {
@@ -664,23 +575,23 @@ mod tests {
     #[test]
     fn cross_field_constraints_are_enforced() {
         let bad = FuzzSpec {
-            tree_minor_bits: Some(3),
-            ..FuzzSpec::preset(BaseConfig::Ht, VictimKind::TreeProbe { level: 0 })
+            overrides: with(|o| o.tree_minor_bits = Some(3)),
+            ..FuzzSpec::preset(Preset::Ht, VictimKind::TreeProbe { level: 0 })
         };
         assert!(bad.validate().is_err(), "tree_minor_bits off sct must fail");
-        let bad = FuzzSpec::preset(BaseConfig::Ht, VictimKind::CounterStress);
+        let bad = FuzzSpec::preset(Preset::Ht, VictimKind::CounterStress);
         assert!(bad.validate().is_err(), "counter_stress off sct must fail");
         let bad =
-            FuzzSpec { payload: 7, ..FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress) };
+            FuzzSpec { payload: 7, ..FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress) };
         assert!(bad.validate().is_err(), "off-menu payload must fail");
     }
 
     #[test]
     fn delta_names_only_changed_axes() {
         let spec = FuzzSpec {
-            noise_sd: Some(20.0),
+            overrides: with(|o| o.noise_sd = Some(20.0)),
             faults: vec![FaultSpec { family: FaultFamily::Drop, level: 1 }],
-            ..FuzzSpec::preset(BaseConfig::Sct, VictimKind::TreeProbe { level: 0 })
+            ..FuzzSpec::preset(Preset::Sct, VictimKind::TreeProbe { level: 0 })
         };
         let delta = spec.delta_json().render();
         assert!(delta.contains("noise_sd"), "{delta}");
@@ -692,11 +603,14 @@ mod tests {
     #[test]
     fn overrides_flow_through_the_builder() {
         let spec = FuzzSpec {
-            tree_minor_bits: Some(3),
-            noise_sd: Some(20.0),
-            pages: Some(8192),
+            overrides: Overrides {
+                tree_minor_bits: Some(3),
+                noise_sd: Some(20.0),
+                pages: Some(8192),
+                mee_extra: None,
+            },
             faults: vec![FaultSpec { family: FaultFamily::Eviction, level: 2 }],
-            ..FuzzSpec::preset(BaseConfig::Sct, VictimKind::CounterStress)
+            ..FuzzSpec::preset(Preset::Sct, VictimKind::CounterStress)
         };
         let cfg = spec.build_config();
         assert_eq!(cfg.tree_widths.minor_bits, 3);

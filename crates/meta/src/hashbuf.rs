@@ -50,12 +50,20 @@ impl HashBuf {
 
     /// Bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
-        if self.spill.is_empty() { &self.bytes[..self.len] } else { &self.spill }
+        if self.spill.is_empty() {
+            &self.bytes[..self.len]
+        } else {
+            &self.spill
+        }
     }
 
     /// Number of bytes written.
     pub fn len(&self) -> usize {
-        if self.spill.is_empty() { self.len } else { self.spill.len() }
+        if self.spill.is_empty() {
+            self.len
+        } else {
+            self.spill.len()
+        }
     }
 
     /// Whether nothing has been written.

@@ -7,26 +7,25 @@
 //! admission queue and a per-tenant in-flight quota.
 //!
 //! A led job fans out one [`crate::pool`] task per sweep point. Each
-//! task warms the point (build the secure memory, plan the channel,
-//! transmit the priming preamble, snapshot) and runs its trials by
-//! forking the snapshot under
-//! [`metaleak_bench::supervisor::supervise`] — a panicking,
+//! task runs its point through the shared execution core
+//! ([`metaleak_bench::exec::PointPlan`]) with the point's seed as the
+//! root: it warms the point (build the secure memory, plan the
+//! channel, transmit the priming preamble, snapshot) and runs the
+//! point's trials one after another by forking the snapshot. The core
+//! owns the seeding and failure rules the figure binaries follow: the
+//! point index is folded into every stream id, so configurations
+//! sweeping the same seed never share randomness; a panicking,
 //! deadline-blown or fault-injected trial becomes a structured
-//! [`TrialFailure`] that degrades the job, never the server. The last
-//! point to finish finalizes: the rows flow through
+//! failure row that degrades the job, never the server; and a failed
+//! warmup fails each trial of its point. Rows are collected by trial
+//! index, so the JSONL is byte-identical for any worker count, which
+//! is what the content-addressed cache relies on.
+//!
+//! The last point to finish finalizes: the rows flow through
 //! [`Experiment::finish`] into the cache directory (the same commit
 //! protocol every figure binary uses), `leakscan` runs in-process
 //! over them ([`metaleak_analysis`]), the gate verdict is evaluated,
 //! and `report.json` is written last as the cache commit record.
-//!
-//! Determinism: trial `t` of point `p` draws
-//! `SimRng::seed_from(seed_p).split(p * trials_per_point + t)` and the
-//! point's warmup draws `split(WARMUP_STREAM_BASE + p)` — the
-//! harness's seeding convention, with the point index folded into the
-//! stream id so configurations sweeping the same seed never share
-//! randomness. Rows are collected by trial index, so the JSONL is
-//! byte-identical for any worker count, which is what the
-//! content-addressed cache relies on.
 
 use crate::cache::{ArtifactCache, Reservation};
 use crate::metrics::Metrics;
@@ -37,13 +36,14 @@ use metaleak_analysis::ingest;
 use metaleak_analysis::report::LeakReport;
 use metaleak_attacks::covert_c::CovertChannelC;
 use metaleak_attacks::covert_t::CovertChannelT;
+use metaleak_attacks::timing::LabelledSample;
 use metaleak_bench::diag;
-use metaleak_bench::harness::{Experiment, RunSettings, Trial, WARMUP_STREAM_BASE};
+use metaleak_bench::exec::PointPlan;
+use metaleak_bench::harness::{Experiment, RunSettings, Trial};
 use metaleak_bench::json::{Json, JsonObj};
-use metaleak_bench::supervisor::{self, SupervisorPolicy, TrialFailure, TrialOutcome};
+use metaleak_bench::supervisor::{SupervisorPolicy, TrialOutcome};
 use metaleak_engine::secmem::SecureMemory;
 use metaleak_sim::addr::CoreId;
-use metaleak_sim::rng::SimRng;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -198,7 +198,7 @@ struct Exec {
     spec: SweepSpec,
     digest: String,
     dir: PathBuf,
-    results: Mutex<Vec<(usize, Result<RowData, TrialFailure>)>>,
+    results: Mutex<Vec<(usize, TrialOutcome<RowData>)>>,
     remaining: AtomicUsize,
     trials_run: AtomicU64,
 }
@@ -520,103 +520,85 @@ fn point_task(inner: &Arc<Inner>, exec: &Arc<Exec>, p: usize) {
     }
 }
 
-/// Converts a warmup failure into one stand-in failure per trial of
-/// the point — the same fan-out [`Experiment::with_warmup`] performs.
-fn fan_out(wf: &TrialFailure, p: usize, tpp: usize) -> Vec<(usize, Result<RowData, TrialFailure>)> {
-    (0..tpp)
-        .map(|t| {
-            let i = p * tpp + t;
-            (i, Err(TrialFailure { trial: i, ..wf.clone() }))
-        })
-        .collect()
-}
-
-/// Executes sweep point `p`: one supervised warmup, then
-/// `trials_per_point` supervised trials forking the warmed snapshot.
+/// Executes sweep point `p` through the execution core: one warmup,
+/// then `trials_per_point` trials forking the warmed snapshot.
 fn run_point(
     spec: &SweepSpec,
     p: usize,
     metrics: &Metrics,
     trials_run: &AtomicU64,
-) -> Vec<(usize, Result<RowData, TrialFailure>)> {
-    let (kind, seed) = spec.point(p);
-    let cfg = spec.build_config(kind);
+) -> Vec<(usize, TrialOutcome<RowData>)> {
+    let (preset, seed) = spec.point(p);
+    let cfg = spec.build_config(preset);
     let tpp = spec.trials_per_point;
-    // Warmups are supervised (a panicking channel plan degrades the
-    // point, not the worker) but exempt from trial fault injection.
-    let warm_policy =
-        SupervisorPolicy { retries: spec.retries, backoff_ms: 0, ..SupervisorPolicy::default() };
-    let trial_policy = SupervisorPolicy { inject: spec.fail_trials.clone(), ..warm_policy.clone() };
+    let policy = SupervisorPolicy {
+        retries: spec.retries,
+        backoff_ms: 0,
+        inject: spec.fail_trials.clone(),
+        ..SupervisorPolicy::default()
+    };
+    let plan = PointPlan { seed, point: p, trials: tpp, policy: &policy };
     Metrics::bump(&metrics.points_run);
-
-    let run = |body: &dyn Fn(&mut SimRng, usize) -> RowData| {
-        (0..tpp)
-            .map(|t| {
-                let i = p * tpp + t;
-                Metrics::bump(&metrics.trials_run);
-                trials_run.fetch_add(1, Ordering::Relaxed);
-                let out = supervisor::supervise(&trial_policy, i, || {
-                    let mut rng = SimRng::seed_from(seed).split(i as u64);
-                    body(&mut rng, i)
-                });
-                let res = match out {
-                    TrialOutcome::Done(row) => Ok(row),
-                    TrialOutcome::Failed(f) => Err(f),
-                };
-                (i, res)
-            })
-            .collect()
+    // A point whose warmup succeeds runs every one of its trials. The
+    // warmups call this as their last step, so only the one successful
+    // attempt counts.
+    let count_trials = || {
+        Metrics::add(&metrics.trials_run, tpp as u64);
+        trials_run.fetch_add(tpp as u64, Ordering::Relaxed);
+    };
+    let row = |accuracy: f64, alphabet: u64, cycles_per_symbol: f64, samples: &[LabelledSample]| {
+        RowData {
+            config: preset.name(),
+            seed,
+            point: p,
+            accuracy,
+            alphabet,
+            cycles_per_symbol,
+            classes: samples.iter().map(|s| s.class).collect(),
+            values: samples.iter().map(|s| s.value).collect(),
+        }
     };
 
-    match spec.victim {
-        Victim::CovertT => {
-            let warm = supervisor::supervise(&warm_policy, p, || {
-                let mut wrng = SimRng::seed_from(seed).split(WARMUP_STREAM_BASE + p as u64);
+    let outcomes = match spec.victim {
+        Victim::CovertT => plan.run(
+            |wrng| {
                 let preamble: Vec<bool> =
                     (0..spec.preamble_bits).map(|_| wrng.chance(0.5)).collect();
                 let mut mem = SecureMemory::new(cfg.clone());
-                let channel =
-                    CovertChannelT::new(&mut mem, CoreId(0), CoreId(1), kind.covert_t_level(), 100)
-                        .expect("channel setup");
+                let channel = CovertChannelT::new(
+                    &mut mem,
+                    CoreId(0),
+                    CoreId(1),
+                    preset.covert_t_level(),
+                    100,
+                )
+                .expect("channel setup");
                 if !preamble.is_empty() {
                     channel.transmit(&mut mem, &preamble).expect("preamble transmission");
                 }
-                (mem.into_snapshot(), channel)
-            });
-            let (snap, channel) = match warm {
-                TrialOutcome::Done(w) => w,
-                TrialOutcome::Failed(wf) => return fan_out(&wf, p, tpp),
-            };
-            run(&|rng, _i| {
+                let state = (mem.into_snapshot(), channel);
+                count_trials();
+                state
+            },
+            |(snap, channel), rng, _| {
                 let mut mem = snap.fork();
                 let bits: Vec<bool> =
                     (0..spec.payload_per_trial).map(|_| rng.chance(0.5)).collect();
                 let out = channel.transmit(&mut mem, &bits).expect("transmission");
-                let samples = out.labelled_samples(&bits);
-                RowData {
-                    config: kind.name(),
-                    seed,
-                    point: p,
-                    accuracy: out.accuracy(&bits),
-                    alphabet: 2,
-                    cycles_per_symbol: out.cycles.as_u64() as f64 / bits.len() as f64,
-                    classes: samples.iter().map(|s| s.class).collect(),
-                    values: samples.iter().map(|s| s.value).collect(),
-                }
-            })
-        }
-        Victim::CovertC => {
-            let warm = supervisor::supervise(&warm_policy, p, || {
+                let cycles_per_symbol = out.cycles.as_u64() as f64 / bits.len() as f64;
+                row(out.accuracy(&bits), 2, cycles_per_symbol, &out.labelled_samples(&bits))
+            },
+        ),
+        Victim::CovertC => plan.run(
+            |_| {
                 let mem = SecureMemory::new(cfg.clone());
                 let channel =
                     CovertChannelC::new(&mem, CoreId(0), CoreId(1), 1, 100).expect("channel setup");
-                (mem.into_snapshot(), channel)
-            });
-            let (snap, channel) = match warm {
-                TrialOutcome::Done(w) => w,
-                TrialOutcome::Failed(wf) => return fan_out(&wf, p, tpp),
-            };
-            run(&|rng, _i| {
+                let state = (mem.into_snapshot(), channel);
+                count_trials();
+                state
+            },
+            |(snap, channel), rng, _| {
                 let mut mem = snap.fork();
                 let mut channel = channel.clone();
                 let cap = channel.max_symbol() + 1;
@@ -624,19 +606,11 @@ fn run_point(
                     (0..spec.payload_per_trial).map(|_| rng.below(cap)).collect();
                 let out = channel.transmit(&mut mem, &symbols).expect("transmission");
                 let samples = out.labelled_samples(&symbols);
-                RowData {
-                    config: kind.name(),
-                    seed,
-                    point: p,
-                    accuracy: out.accuracy(&symbols),
-                    alphabet: cap,
-                    cycles_per_symbol: out.cycles_per_symbol(),
-                    classes: samples.iter().map(|s| s.class).collect(),
-                    values: samples.iter().map(|s| s.value).collect(),
-                }
-            })
-        }
-    }
+                row(out.accuracy(&symbols), cap, out.cycles_per_symbol(), &samples)
+            },
+        ),
+    };
+    outcomes.into_iter().enumerate().map(|(t, o)| (plan.trial_id(t), o)).collect()
 }
 
 /// Commits a finished execution: artifacts through the harness sink,
@@ -649,10 +623,10 @@ fn finalize(inner: &Arc<Inner>, exec: &Arc<Exec>) {
     results.sort_by_key(|&(i, _)| i);
     let mut trials = Vec::new();
     let mut failures = Vec::new();
-    for (i, res) in results {
-        match res {
-            Ok(row) => trials.push(row.into_trial(i, spec.victim)),
-            Err(f) => failures.push(f),
+    for (i, outcome) in results {
+        match outcome {
+            TrialOutcome::Done(row) => trials.push(row.into_trial(i, spec.victim)),
+            TrialOutcome::Failed(f) => failures.push(f),
         }
     }
     let failed_trials = failures.len() as u64;

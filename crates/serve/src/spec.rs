@@ -7,27 +7,31 @@
 //! trials each. Parsing is *lenient about unknown keys* (they warn
 //! through the [`metaleak_bench::diag`] sink attributed to the
 //! submitting job) and *strict about known ones*: every recognized
-//! field is bounds-checked, and configuration overrides go through
-//! [`SecureConfigBuilder`] so a spec can never construct a memory
-//! shape the engine's own builder would not.
+//! field is bounds-checked, and configuration overrides go through the
+//! shared spec core ([`metaleak_bench::spec`]) and its
+//! `SecureConfigBuilder` path, so a spec can never construct a memory
+//! shape the engine's own builder would not. An override that could
+//! not take effect on any swept configuration is rejected rather than
+//! silently ignored.
 //!
 //! # Content addressing
 //!
-//! [`SweepSpec::content_key`] is a SHA-256 over the canonical
-//! rendering of the spec (fixed field order, defaults materialized),
-//! the serve protocol version and the engine's
-//! [`metaleak_engine::STATE_SHAPE`] tag. Two submissions share a key
-//! exactly when they would execute the same trials on the same seed
-//! streams against the same engine state layout — which is what makes
-//! the artifact cache sound: trial `t` of point `p` always draws
-//! `SimRng::seed_from(seed[p]).split(p * trials_per_point + t)`, so
-//! the key covers every bit of entropy the execution consumes.
+//! [`SweepSpec::content_key`] is the shared core's content key over
+//! the canonical rendering of the spec (fixed field order, defaults
+//! materialized) under the `metaleak-serve/v1` protocol tag. Two
+//! submissions share a key exactly when they would execute the same
+//! trials on the same seed streams against the same engine state
+//! layout — which is what makes the artifact cache sound: the
+//! execution core ([`metaleak_bench::exec`]) draws every stream from
+//! the point's seed and the point and trial indices, so the key covers
+//! every bit of entropy the execution consumes.
 
-use metaleak::configs;
+use metaleak::configs::Preset;
 use metaleak_bench::diag;
 use metaleak_bench::json::{Json, JsonObj};
-use metaleak_crypto::sha256::{self, Sha256};
-use metaleak_engine::config::{SecureConfig, SecureConfigBuilder};
+use metaleak_bench::spec::{self, Overrides, SpecError};
+use metaleak_crypto::sha256;
+use metaleak_engine::config::SecureConfig;
 
 /// Version tag folded into every content key: bump when the server's
 /// execution semantics change in a way that invalidates cached
@@ -70,47 +74,6 @@ impl Victim {
     }
 }
 
-/// A secure-memory configuration preset, by wire name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigKind {
-    /// Split counters + split-counter tree (VAULT-style).
-    Sct,
-    /// Bonsai Merkle hash tree.
-    Ht,
-    /// SGX-like: monolithic counters, 8-ary SIT, MEE latencies.
-    Sit,
-}
-
-impl ConfigKind {
-    /// The wire name (`"sct"` / `"ht"` / `"sit"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ConfigKind::Sct => "sct",
-            ConfigKind::Ht => "ht",
-            ConfigKind::Sit => "sit",
-        }
-    }
-
-    /// The tree level the MetaLeak-T channel monitors on this
-    /// configuration (the Figure-11 setup: level 0 on SCT-style
-    /// trees, level 1 on the SGX SIT).
-    pub fn covert_t_level(self) -> u8 {
-        match self {
-            ConfigKind::Sct | ConfigKind::Ht => 0,
-            ConfigKind::Sit => 1,
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sct" => Some(ConfigKind::Sct),
-            "ht" => Some(ConfigKind::Ht),
-            "sit" => Some(ConfigKind::Sit),
-            _ => None,
-        }
-    }
-}
-
 /// Gate requirement attached to a spec: what the leakage assessment
 /// must conclude for the job's gate verdict to pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,23 +103,6 @@ impl Requirement {
             _ => None,
         }
     }
-}
-
-/// A spec that failed validation; the message is returned verbatim in
-/// the `400` response body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(pub String);
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn err(msg: impl Into<String>) -> SpecError {
-    SpecError(msg.into())
 }
 
 /// A validated sweep specification.
@@ -192,7 +138,7 @@ pub struct SweepSpec {
     /// The covert channel to drive.
     pub victim: Victim,
     /// Configurations swept (outer sweep axis).
-    pub configs: Vec<ConfigKind>,
+    pub configs: Vec<Preset>,
     /// Seeds swept (inner sweep axis).
     pub seeds: Vec<u64>,
     /// Supervised trials per `configuration × seed` point.
@@ -202,12 +148,9 @@ pub struct SweepSpec {
     /// Priming bits transmitted during each point's warmup before the
     /// snapshot is taken (MetaLeak-T only).
     pub preamble_bits: usize,
-    /// Tree minor-counter width override (MetaLeak-C capacity knob).
-    pub tree_minor_bits: Option<u8>,
-    /// Gaussian latency-jitter override.
-    pub noise_sd: Option<f64>,
-    /// Protected-region size override in pages.
-    pub pages: Option<u64>,
+    /// Configuration overrides: `tree_minor_bits` (the MetaLeak-C
+    /// capacity knob, SCT only), `noise_sd` and `pages`.
+    pub overrides: Overrides,
     /// Gate requirement evaluated into the job's report.
     pub require: Requirement,
     /// Failure budget: admits degraded artifacts to assessment and
@@ -227,14 +170,14 @@ impl SweepSpec {
     /// submitting job); known keys with wrong types or out-of-bounds
     /// values are hard errors.
     pub fn parse(text: &str) -> Result<SweepSpec, SpecError> {
-        let json = Json::parse(text).map_err(|e| err(format!("invalid JSON: {e}")))?;
+        let json = Json::parse(text).map_err(|e| SpecError::new(format!("invalid JSON: {e}")))?;
         SweepSpec::from_json(&json)
     }
 
     /// Parses and validates a spec from an already-parsed JSON value.
     pub fn from_json(json: &Json) -> Result<SweepSpec, SpecError> {
         let Json::Obj(fields) = json else {
-            return Err(err("spec must be a JSON object"));
+            return Err(SpecError::new("spec must be a JSON object"));
         };
         const KNOWN: [&str; 14] = [
             "experiment",
@@ -261,7 +204,7 @@ impl SweepSpec {
         let experiment = json
             .get("experiment")
             .and_then(Json::as_str)
-            .ok_or_else(|| err("missing string field \"experiment\""))?
+            .ok_or_else(|| SpecError::new("missing string field \"experiment\""))?
             .to_owned();
         if experiment.is_empty()
             || experiment.len() > 64
@@ -269,41 +212,46 @@ impl SweepSpec {
                 .bytes()
                 .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-')
         {
-            return Err(err("\"experiment\" must be 1-64 chars of [a-z0-9_-]"));
+            return Err(SpecError::new("\"experiment\" must be 1-64 chars of [a-z0-9_-]"));
         }
 
         let victim = json
             .get("victim")
             .and_then(Json::as_str)
-            .ok_or_else(|| err("missing string field \"victim\""))?;
-        let victim = Victim::parse(victim)
-            .ok_or_else(|| err(format!("unknown victim {victim:?} (covert_t | covert_c)")))?;
+            .ok_or_else(|| SpecError::new("missing string field \"victim\""))?;
+        let victim = Victim::parse(victim).ok_or_else(|| {
+            SpecError::new(format!("unknown victim {victim:?} (covert_t | covert_c)"))
+        })?;
 
         let configs = str_list(json, "configs")?
             .iter()
             .map(|s| {
-                ConfigKind::parse(s)
-                    .ok_or_else(|| err(format!("unknown config {s:?} (sct | ht | sit)")))
+                Preset::parse(s)
+                    .ok_or_else(|| SpecError::new(format!("unknown config {s:?} (sct | ht | sit)")))
             })
             .collect::<Result<Vec<_>, _>>()?;
         if configs.is_empty() {
-            return Err(err("\"configs\" must name at least one configuration"));
+            return Err(SpecError::new("\"configs\" must name at least one configuration"));
         }
-        if victim == Victim::CovertC && configs.iter().any(|&c| c != ConfigKind::Sct) {
-            return Err(err("covert_c sweeps support only the \"sct\" configuration"));
+        if victim == Victim::CovertC && configs.iter().any(|&c| c != Preset::Sct) {
+            return Err(SpecError::new("covert_c sweeps support only the \"sct\" configuration"));
         }
 
         let seeds = u64_list(json, "seeds")?;
         if seeds.is_empty() {
-            return Err(err("\"seeds\" must list at least one seed"));
+            return Err(SpecError::new("\"seeds\" must list at least one seed"));
         }
         for (i, s) in seeds.iter().enumerate() {
             if seeds[..i].contains(s) {
-                return Err(err(format!("duplicate seed {s} (seed streams must be distinct)")));
+                return Err(SpecError::new(format!(
+                    "duplicate seed {s} (seed streams must be distinct)"
+                )));
             }
         }
         if configs.len() * seeds.len() > MAX_POINTS {
-            return Err(err(format!("configs × seeds exceeds {MAX_POINTS} sweep points")));
+            return Err(SpecError::new(format!(
+                "configs × seeds exceeds {MAX_POINTS} sweep points"
+            )));
         }
 
         let trials_per_point = usize_field(json, "trials_per_point", 1, MAX_TRIALS_PER_POINT, 2)?;
@@ -314,10 +262,9 @@ impl SweepSpec {
         let tree_minor_bits = match json.get("tree_minor_bits") {
             None => None,
             Some(v) => {
-                let bits = v
-                    .as_u64()
-                    .filter(|&b| (1..=7).contains(&b))
-                    .ok_or_else(|| err("\"tree_minor_bits\" must be an integer in 1..=7"))?;
+                let bits = v.as_u64().filter(|&b| (1..=7).contains(&b)).ok_or_else(|| {
+                    SpecError::new("\"tree_minor_bits\" must be an integer in 1..=7")
+                })?;
                 Some(bits as u8)
             }
         };
@@ -327,17 +274,18 @@ impl SweepSpec {
                 let sd = v
                     .as_f64()
                     .filter(|sd| sd.is_finite() && *sd >= 0.0 && *sd <= 1000.0)
-                    .ok_or_else(|| err("\"noise_sd\" must be a finite number in 0..=1000"))?;
+                    .ok_or_else(|| {
+                        SpecError::new("\"noise_sd\" must be a finite number in 0..=1000")
+                    })?;
                 Some(sd)
             }
         };
         let pages = match json.get("pages") {
             None => None,
             Some(v) => {
-                let p = v
-                    .as_u64()
-                    .filter(|&p| (4096..=65536).contains(&p))
-                    .ok_or_else(|| err("\"pages\" must be an integer in 4096..=65536"))?;
+                let p = v.as_u64().filter(|&p| (4096..=65536).contains(&p)).ok_or_else(|| {
+                    SpecError::new("\"pages\" must be an integer in 4096..=65536")
+                })?;
                 Some(p)
             }
         };
@@ -345,24 +293,27 @@ impl SweepSpec {
         let require = match json.get("require") {
             None => Requirement::None,
             Some(v) => {
-                let s = v.as_str().ok_or_else(|| err("\"require\" must be a string"))?;
+                let s = v.as_str().ok_or_else(|| SpecError::new("\"require\" must be a string"))?;
                 Requirement::parse(s).ok_or_else(|| {
-                    err(format!("unknown requirement {s:?} (leak | clean | none)"))
+                    SpecError::new(format!("unknown requirement {s:?} (leak | clean | none)"))
                 })?
             }
         };
         let max_failed_trials = match json.get("max_failed_trials") {
             None => None,
-            Some(v) => {
-                Some(v.as_u64().ok_or_else(|| err("\"max_failed_trials\" must be an integer"))?
-                    as usize)
-            }
+            Some(v) => Some(
+                v.as_u64()
+                    .ok_or_else(|| SpecError::new("\"max_failed_trials\" must be an integer"))?
+                    as usize,
+            ),
         };
         let fail_trials = match json.get("fail_trials") {
             None => Vec::new(),
             Some(_) => u64_list(json, "fail_trials")?.iter().map(|&t| t as usize).collect(),
         };
 
+        let overrides = Overrides { tree_minor_bits, noise_sd, pages, mee_extra: None };
+        overrides.check(&configs)?;
         let spec = SweepSpec {
             experiment,
             victim,
@@ -371,9 +322,7 @@ impl SweepSpec {
             trials_per_point,
             payload_per_trial,
             preamble_bits,
-            tree_minor_bits,
-            noise_sd,
-            pages,
+            overrides,
             require,
             max_failed_trials,
             fail_trials,
@@ -381,7 +330,7 @@ impl SweepSpec {
         };
         for &t in &spec.fail_trials {
             if t >= spec.total_trials() {
-                return Err(err(format!(
+                return Err(SpecError::new(format!(
                     "\"fail_trials\" index {t} out of range (job has {} trials)",
                     spec.total_trials()
                 )));
@@ -389,8 +338,8 @@ impl SweepSpec {
         }
         // Exercise the builder path once per configuration: a spec is
         // only valid if the engine's own builder accepts its shape.
-        for &kind in &spec.configs {
-            let _ = spec.build_config(kind);
+        for &preset in &spec.configs {
+            let _ = spec.build_config(preset);
         }
         Ok(spec)
     }
@@ -407,37 +356,21 @@ impl SweepSpec {
 
     /// The configuration and seed behind sweep point `p` (points are
     /// numbered `config-major`: `p = cfg_idx * seeds.len() + seed_idx`).
-    pub fn point(&self, p: usize) -> (ConfigKind, u64) {
+    pub fn point(&self, p: usize) -> (Preset, u64) {
         (self.configs[p / self.seeds.len()], self.seeds[p % self.seeds.len()])
     }
 
-    /// Builds the secure-memory configuration for one sweep axis
-    /// entry, applying the spec's overrides through
-    /// [`SecureConfigBuilder`].
-    pub fn build_config(&self, kind: ConfigKind) -> SecureConfig {
-        let base = match kind {
-            ConfigKind::Sct => match self.tree_minor_bits {
-                Some(bits) => configs::sct_experiment_with_tree_bits(bits),
-                None => configs::sct_experiment(),
-            },
-            ConfigKind::Ht => configs::ht_experiment(),
-            ConfigKind::Sit => configs::sgx_experiment(),
-        };
-        let mut builder = SecureConfigBuilder::from_config(base);
-        if let Some(sd) = self.noise_sd {
-            builder = builder.noise_sd(sd);
-        }
-        if let Some(pages) = self.pages {
-            builder = builder.data_pages(pages);
-        }
-        builder.build()
+    /// The secure-memory configuration of one sweep axis entry, with
+    /// the spec's overrides applied.
+    pub fn build_config(&self, preset: Preset) -> SecureConfig {
+        self.overrides.builder(preset).build()
     }
 
     /// The canonical JSON rendering: fixed field order with every
     /// default materialized, so two specs that execute identically
     /// render identically.
     pub fn canonical(&self) -> Json {
-        let mut obj = JsonObj::new()
+        let obj = JsonObj::new()
             .field("experiment", self.experiment.as_str())
             .field("victim", self.victim.name())
             .field(
@@ -448,16 +381,7 @@ impl SweepSpec {
             .field("trials_per_point", self.trials_per_point)
             .field("payload_per_trial", self.payload_per_trial)
             .field("preamble_bits", self.preamble_bits);
-        if let Some(bits) = self.tree_minor_bits {
-            obj = obj.field("tree_minor_bits", bits);
-        }
-        if let Some(sd) = self.noise_sd {
-            obj = obj.field("noise_sd", sd);
-        }
-        if let Some(pages) = self.pages {
-            obj = obj.field("pages", pages);
-        }
-        obj = obj.field("require", self.require.name());
+        let mut obj = self.overrides.render_into(obj).field("require", self.require.name());
         if let Some(max) = self.max_failed_trials {
             obj = obj.field("max_failed_trials", max);
         }
@@ -470,17 +394,10 @@ impl SweepSpec {
         obj.field("retries", self.retries).build()
     }
 
-    /// The content key addressing this spec's artifacts: SHA-256 over
-    /// the canonical spec, the serve protocol version and the engine's
-    /// state-shape tag (so an engine refactor that changes simulated
-    /// state can never serve stale bytes).
+    /// The content key addressing this spec's artifacts (see the
+    /// module docs).
     pub fn content_key(&self) -> String {
-        let material = format!(
-            "metaleak-serve/v{PROTOCOL_VERSION}\n{}\n{}",
-            metaleak_engine::STATE_SHAPE,
-            self.canonical().render()
-        );
-        sha256::hex(&Sha256::digest(material.as_bytes()))
+        spec::content_key(&format!("metaleak-serve/v{PROTOCOL_VERSION}"), &self.canonical())
     }
 
     /// The artifact seed recorded in the commit record (and used for
@@ -494,21 +411,21 @@ impl SweepSpec {
 fn str_list(json: &Json, key: &str) -> Result<Vec<String>, SpecError> {
     json.get(key)
         .and_then(Json::as_arr)
-        .ok_or_else(|| err(format!("missing array field {key:?}")))?
+        .ok_or_else(|| SpecError::new(format!("missing array field {key:?}")))?
         .iter()
         .map(|v| v.as_str().map(str::to_owned))
         .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| err(format!("{key:?} must be an array of strings")))
+        .ok_or_else(|| SpecError::new(format!("{key:?} must be an array of strings")))
 }
 
 fn u64_list(json: &Json, key: &str) -> Result<Vec<u64>, SpecError> {
     json.get(key)
         .and_then(Json::as_arr)
-        .ok_or_else(|| err(format!("missing array field {key:?}")))?
+        .ok_or_else(|| SpecError::new(format!("missing array field {key:?}")))?
         .iter()
         .map(Json::as_u64)
         .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| err(format!("{key:?} must be an array of non-negative integers")))
+        .ok_or_else(|| SpecError::new(format!("{key:?} must be an array of non-negative integers")))
 }
 
 fn usize_field(
@@ -520,11 +437,11 @@ fn usize_field(
 ) -> Result<usize, SpecError> {
     match json.get(key) {
         None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|n| n as usize)
-            .filter(|n| (min..=max).contains(n))
-            .ok_or_else(|| err(format!("{key:?} must be an integer in {min}..={max}"))),
+        Some(v) => {
+            v.as_u64().map(|n| n as usize).filter(|n| (min..=max).contains(n)).ok_or_else(|| {
+                SpecError::new(format!("{key:?} must be an integer in {min}..={max}"))
+            })
+        }
     }
 }
 
@@ -553,6 +470,34 @@ mod tests {
         assert_eq!(a.content_key(), b.content_key());
         let c = SweepSpec::parse(&minimal().replace("[7]", "[8]")).unwrap();
         assert_ne!(a.content_key(), c.content_key(), "seed change must change the key");
+    }
+
+    #[test]
+    fn content_key_derivation_is_pinned() {
+        // The cache key material: protocol tag, engine state shape and
+        // the canonical render, one per line. A change here re-keys
+        // every cached artifact.
+        let spec = SweepSpec::parse(&minimal()).unwrap();
+        let canonical = spec.canonical().render();
+        assert_eq!(
+            canonical,
+            r#"{"experiment":"smoke","victim":"covert_t","configs":["sct"],"seeds":[7],"trials_per_point":2,"payload_per_trial":32,"preamble_bits":16,"require":"none","retries":0}"#
+        );
+        let material = format!("metaleak-serve/v1\n{}\n{canonical}", metaleak_engine::STATE_SHAPE);
+        assert_eq!(spec.content_key(), sha256::hex(&sha256::Sha256::digest(material.as_bytes())));
+    }
+
+    #[test]
+    fn tree_minor_bits_without_an_sct_config_is_rejected() {
+        // The knob cannot take effect on HT or SIT; accepting it would
+        // key identical trials under two content keys.
+        let text = minimal()
+            .replace("[\"sct\"]", "[\"ht\",\"sit\"]")
+            .replace("\"seeds\"", "\"tree_minor_bits\":3,\"seeds\"");
+        let e = SweepSpec::parse(&text).expect_err("knob without an sct config");
+        assert!(e.0.contains("tree_minor_bits") && e.0.contains("sct"), "{e}");
+        let mixed = text.replace("[\"ht\",\"sit\"]", "[\"sct\",\"ht\"]");
+        assert!(SweepSpec::parse(&mixed).is_ok(), "the knob applies to the sct points");
     }
 
     #[test]
@@ -630,10 +575,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.points(), 4);
-        assert_eq!(spec.point(0), (ConfigKind::Sct, 3));
-        assert_eq!(spec.point(1), (ConfigKind::Sct, 5));
-        assert_eq!(spec.point(2), (ConfigKind::Sit, 3));
-        assert_eq!(spec.point(3), (ConfigKind::Sit, 5));
+        assert_eq!(spec.point(0), (Preset::Sct, 3));
+        assert_eq!(spec.point(1), (Preset::Sct, 5));
+        assert_eq!(spec.point(2), (Preset::Sit, 3));
+        assert_eq!(spec.point(3), (Preset::Sit, 5));
     }
 
     #[test]
@@ -642,7 +587,7 @@ mod tests {
             r#"{"experiment":"x","victim":"covert_c","configs":["sct"],"seeds":[1],"tree_minor_bits":3,"pages":8192,"noise_sd":1.5}"#,
         )
         .unwrap();
-        let cfg = spec.build_config(ConfigKind::Sct);
+        let cfg = spec.build_config(Preset::Sct);
         assert_eq!(cfg.tree_widths.minor_bits, 3);
         assert_eq!(cfg.data_pages, 8192);
         assert!((cfg.sim.noise_sd - 1.5).abs() < 1e-12);

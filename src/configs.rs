@@ -56,6 +56,56 @@ pub fn sct_experiment_with_tree_bits(minor_bits: u8) -> SecureConfig {
     cfg
 }
 
+/// One of the three experiment designs, by wire name: the `configs`
+/// axis of a `metaleak-serve` sweep and the `base` of a `leakfuzz`
+/// candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preset {
+    /// Split counters + split-counter tree ([`sct_experiment`]).
+    Sct,
+    /// Bonsai Merkle hash tree ([`ht_experiment`]).
+    Ht,
+    /// SGX-like monolithic counters and 8-ary SIT ([`sgx_experiment`]).
+    Sit,
+}
+
+impl Preset {
+    /// The wire name (`"sct"` / `"ht"` / `"sit"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Preset::Sct => "sct",
+            Preset::Ht => "ht",
+            Preset::Sit => "sit",
+        }
+    }
+
+    /// Parses a wire name.
+    pub fn parse(s: &str) -> Option<Self> {
+        [Preset::Sct, Preset::Ht, Preset::Sit].into_iter().find(|p| p.name() == s)
+    }
+
+    /// The tree level the MetaLeak-T probe monitors in the Figure 11
+    /// setup: level 0 on the SCT and HT trees, level 1 on the SIT.
+    pub fn covert_t_level(self) -> u8 {
+        match self {
+            Preset::Sct | Preset::Ht => 0,
+            Preset::Sit => 1,
+        }
+    }
+
+    /// The design's base configuration, with the tree minor-counter
+    /// width narrowed to `tree_minor_bits` when given. Only SCT has
+    /// tree minor counters; other designs ignore the width.
+    pub fn config(self, tree_minor_bits: Option<u8>) -> SecureConfig {
+        match (self, tree_minor_bits) {
+            (Preset::Sct, Some(bits)) => sct_experiment_with_tree_bits(bits),
+            (Preset::Sct, None) => sct_experiment(),
+            (Preset::Ht, _) => ht_experiment(),
+            (Preset::Sit, _) => sgx_experiment(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,6 +117,16 @@ mod tests {
         assert_eq!(ht_experiment().tree_kind, TreeKind::Hash);
         assert_eq!(sgx_experiment().tree_kind, TreeKind::Sgx);
         assert_eq!(sct_experiment_with_tree_bits(3).tree_widths.minor_bits, 3);
+    }
+
+    #[test]
+    fn presets_round_trip_their_wire_names() {
+        for p in [Preset::Sct, Preset::Ht, Preset::Sit] {
+            assert_eq!(Preset::parse(p.name()), Some(p));
+        }
+        assert_eq!(Preset::parse("sgx"), None);
+        assert_eq!(Preset::Sit.config(None).tree_kind, TreeKind::Sgx);
+        assert_eq!(Preset::Sct.config(Some(3)).tree_widths.minor_bits, 3);
     }
 
     #[test]
