@@ -1,9 +1,14 @@
 //! AES-128 block cipher (FIPS-197), implemented from scratch.
 //!
 //! Used functionally by the secure-memory engine for counter-mode
-//! one-time-pad generation. This is a straightforward table-free
-//! software implementation; it is *not* constant-time and must not be
-//! used outside the simulator.
+//! one-time-pad generation. [`Aes128::encrypt_blocks`] runs on the
+//! CPU's AES-NI unit (`aesenc`/`aesenclast`, four blocks interleaved)
+//! when runtime detection finds it, and otherwise on a portable
+//! byte-wise implementation (S-box lookups, ShiftRows, MixColumns)
+//! that is also the reference the hardware path is pinned against.
+//! Key expansion and decryption are always byte-wise. Neither path is
+//! hardened (the portable one is not constant-time); both are
+//! simulation substrates only.
 
 /// AES block size in bytes.
 pub const AES_BLOCK: usize = 16;
@@ -184,13 +189,30 @@ impl Aes128 {
 
     /// Encrypts `blocks` in place under one expanded key schedule.
     ///
-    /// This is the batched entry point: each round is applied across
-    /// every block before the next round begins, so the round key is
-    /// loaded once per round (not once per block) and the byte-wise
-    /// XOR/doubling loops run over contiguous state the compiler can
-    /// autovectorize. Output is bit-identical to calling
-    /// [`Aes128::encrypt_block`] on each block independently.
+    /// This is the batched entry point. With AES-NI it keeps four
+    /// blocks in flight per round; otherwise each round is applied
+    /// across every block before the next begins, so the round key is
+    /// loaded once per round and the byte-wise loops run over
+    /// contiguous state the compiler can autovectorize. Output is
+    /// bit-identical to calling [`Aes128::encrypt_block`] on each
+    /// block independently, on either path.
     pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            // SAFETY: `ni::available()` confirmed the `aes` and `sse2`
+            // CPU features at runtime, which is all `ni::encrypt_blocks`
+            // enables; it reads only `round_keys` and writes only
+            // `blocks`.
+            unsafe { ni::encrypt_blocks(&self.round_keys, blocks) };
+            return;
+        }
+        self.encrypt_blocks_soft(blocks);
+    }
+
+    /// The portable byte-wise form of [`Aes128::encrypt_blocks`]: the
+    /// only path on CPUs without AES-NI and the reference the hardware
+    /// path is tested against.
+    fn encrypt_blocks_soft(&self, blocks: &mut [[u8; 16]]) {
         let (sbox, _) = sboxes();
         for s in blocks.iter_mut() {
             Self::add_round_key(s, &self.round_keys[0]);
@@ -233,9 +255,100 @@ impl Aes128 {
     }
 }
 
+/// AES-NI accelerated encryption (x86-64 only, runtime detected).
+///
+/// The FIPS-197 state is the 16 input bytes in order, which is the
+/// byte order `aesenc` works on, so the portable round keys load
+/// unchanged: whitening with round key 0, nine `aesenc` rounds and
+/// one `aesenclast`.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::ROUNDS;
+    use core::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Whether the running CPU supports the instructions we need.
+    pub(super) fn available() -> bool {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE
+            .get_or_init(|| is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2"))
+    }
+
+    /// Encrypts `blocks` in place, four at a time while at least four
+    /// remain so independent rounds overlap in the pipeline.
+    ///
+    /// # Safety
+    /// The CPU must support `aes` and `sse2` (see [`available`]).
+    #[target_feature(enable = "aes,sse2")]
+    pub(super) unsafe fn encrypt_blocks(
+        round_keys: &[[u8; 16]; ROUNDS + 1],
+        blocks: &mut [[u8; 16]],
+    ) {
+        let mut rk = [_mm_setzero_si128(); ROUNDS + 1];
+        for (k, bytes) in rk.iter_mut().zip(round_keys) {
+            *k = _mm_loadu_si128(bytes.as_ptr().cast());
+        }
+        let mut quads = blocks.chunks_exact_mut(4);
+        for quad in &mut quads {
+            let mut s = [_mm_setzero_si128(); 4];
+            for (st, b) in s.iter_mut().zip(quad.iter()) {
+                *st = _mm_xor_si128(_mm_loadu_si128(b.as_ptr().cast()), rk[0]);
+            }
+            for k in &rk[1..ROUNDS] {
+                for st in s.iter_mut() {
+                    *st = _mm_aesenc_si128(*st, *k);
+                }
+            }
+            for (st, b) in s.iter().zip(quad.iter_mut()) {
+                _mm_storeu_si128(b.as_mut_ptr().cast(), _mm_aesenclast_si128(*st, rk[ROUNDS]));
+            }
+        }
+        for b in quads.into_remainder() {
+            let mut st = _mm_xor_si128(_mm_loadu_si128(b.as_ptr().cast()), rk[0]);
+            for k in &rk[1..ROUNDS] {
+                st = _mm_aesenc_si128(st, *k);
+            }
+            _mm_storeu_si128(b.as_mut_ptr().cast(), _mm_aesenclast_si128(st, rk[ROUNDS]));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A batch encryption entry point: the public dispatcher or one of
+    /// the two paths behind it.
+    type EncryptPath = fn(&Aes128, &mut [[u8; 16]]);
+
+    /// Every encryption path this host can run, named: the portable
+    /// rounds always, AES-NI when the CPU has it. Known-answer tests
+    /// run through each, so a host with AES-NI still checks the
+    /// portable code (the public entry point would only reach one).
+    fn encrypt_paths() -> Vec<(&'static str, EncryptPath)> {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut paths: Vec<(&'static str, EncryptPath)> =
+            vec![("dispatch", Aes128::encrypt_blocks), ("soft", Aes128::encrypt_blocks_soft)];
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            paths.push(("aes-ni", |aes, blocks| {
+                // SAFETY: guarded by `ni::available()` above.
+                unsafe { ni::encrypt_blocks(&aes.round_keys, blocks) }
+            }));
+        }
+        paths
+    }
+
+    fn known_answer(key: &[u8; 16], pt: &[u8; 16], expect: &[u8; 16]) {
+        let aes = Aes128::new(key);
+        for (name, encrypt) in encrypt_paths() {
+            let mut block = [*pt];
+            encrypt(&aes, &mut block);
+            assert_eq!(&block[0], expect, "{name}");
+        }
+        assert_eq!(&aes.encrypt_block(pt), expect);
+        assert_eq!(&aes.decrypt_block(expect), pt);
+    }
 
     #[test]
     fn fips197_appendix_b_vector() {
@@ -252,9 +365,7 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt_block(&pt), expect);
-        assert_eq!(aes.decrypt_block(&expect), pt);
+        known_answer(&key, &pt, &expect);
     }
 
     #[test]
@@ -266,8 +377,7 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt_block(&pt), expect);
+        known_answer(&key, &pt, &expect);
     }
 
     #[test]
@@ -309,6 +419,29 @@ mod tests {
             let scalar: Vec<[u8; 16]> = batch.iter().map(|b| aes.encrypt_block(b)).collect();
             aes.encrypt_blocks(&mut batch);
             assert_eq!(batch, scalar, "batch of {n}");
+        }
+    }
+
+    /// Pins AES-NI to the portable rounds for every batch size from
+    /// one block (remainder only) through two full quads plus a
+    /// remainder, and for the 64-block re-encryption batch.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn ni_matches_soft() {
+        if !ni::available() {
+            return;
+        }
+        for key in [[0u8; 16], *b"0123456789abcdef", [0xff; 16]] {
+            let aes = Aes128::new(&key);
+            for n in (1usize..=9).chain([64]) {
+                let mut hw: Vec<[u8; 16]> =
+                    (0..n).map(|i| core::array::from_fn(|j| (i * 73 + j * 11 + 5) as u8)).collect();
+                let mut soft = hw.clone();
+                // SAFETY: guarded by `ni::available()` above.
+                unsafe { ni::encrypt_blocks(&aes.round_keys, &mut hw) };
+                aes.encrypt_blocks_soft(&mut soft);
+                assert_eq!(hw, soft, "batch of {n}");
+            }
         }
     }
 

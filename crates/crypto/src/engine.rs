@@ -216,8 +216,8 @@ impl CryptoEngine {
     }
 
     /// Batched block MACs: one tag per `(ciphertext, counter, address)`
-    /// item, all under this engine's shared GHASH subkey tables.
-    /// Equivalent to (and pinned against) N scalar
+    /// item, all under this engine's GHASH subkey (whichever kernel
+    /// it uses). Equivalent to (and pinned against) N scalar
     /// [`CryptoEngine::mac_block`] calls.
     pub fn mac_blocks(&self, items: &[(&Block, u64, u64)]) -> Vec<Tag> {
         items.iter().map(|&(ct, ctr, addr)| self.ghash.mac_with_counter(ct, ctr, addr)).collect()
@@ -232,11 +232,9 @@ impl CryptoEngine {
     /// (used for counter blocks, whose freshness is pinned by the
     /// integrity-tree leaf version).
     pub fn mac_bytes(&self, bytes: &[u8], version: u64, addr: u64) -> Tag {
-        let mut st = self.ghash.stream();
-        st.update(bytes);
-        st.update(&version.to_le_bytes());
-        st.update(&addr.to_le_bytes());
-        st.finalize()
+        // The same `bytes || version || addr` message shape as a block
+        // MAC's `data || counter || addr`.
+        self.ghash.mac_with_counter(bytes, version, addr)
     }
 
     /// Full-width tree hash of a node's serialized content.

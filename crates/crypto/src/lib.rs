@@ -10,6 +10,13 @@
 //! detection genuinely works) but are simulation substrates only — they
 //! are not hardened and must never be used for production cryptography.
 //!
+//! On x86-64 the hot kernels run on the CPU's AES-NI, PCLMULQDQ and
+//! SHA-NI units when runtime detection finds them; the portable code is
+//! the fallback everywhere else and the reference every hardware path
+//! is tested against. The choice changes host speed only: outputs are
+//! bit-identical, and the engine's modelled latencies do not depend on
+//! it.
+//!
 //! ```
 //! use metaleak_crypto::engine::CryptoEngine;
 //!

@@ -259,10 +259,7 @@ impl<T: Tracer> SecureMemory<T> {
         };
         let mut tree = IntegrityTree::new(config.tree_kind, geometry.clone(), config.tree_widths);
         // HT leaves must hash the genuine initial counter-block bytes.
-        {
-            let enc_ref = &enc;
-            tree.init_leaf_hashes(|cb| enc_ref.counter_block_bytes(cb));
-        }
+        tree.init_leaf_hashes(|cb, buf| enc.fill_counter_block_bytes(cb, buf));
         let layout = SecureLayout::new(config.data_base, data_blocks, counter_blocks, &geometry);
         // The legacy `noise_sd` knob folds into the fault plan as one
         // more Gaussian process, making it a special case of the

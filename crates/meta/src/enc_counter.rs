@@ -131,16 +131,27 @@ impl EncCounters {
     /// Creates counter state for `blocks` protected blocks, all zeroed.
     ///
     /// # Panics
-    /// Panics if `blocks` is 0.
+    /// Panics if `blocks` is 0, or if the scheme is
+    /// [`CounterScheme::Split`] and `widths.minor_bits` is outside
+    /// `1..=8`: a counter block stores one byte per minor, so a wider
+    /// minor would drop out of the MAC'd and tree-hashed bytes.
     pub fn new(scheme: CounterScheme, widths: CounterWidths, blocks: u64) -> Self {
         assert!(blocks > 0, "protected region must be nonempty");
+        if scheme == CounterScheme::Split {
+            assert!(
+                (1..=8).contains(&widths.minor_bits),
+                "split minor counters must be 1..=8 bits wide, got {}",
+                widths.minor_bits
+            );
+        }
+        let pages = blocks.div_ceil(BLOCKS_PER_PAGE as u64);
         EncCounters {
             scheme,
             widths,
             blocks,
             global: 0,
-            per_block: CowMap::new(blocks.max(1)),
-            pages: CowMap::new(blocks.max(1)),
+            per_block: CowMap::new(blocks),
+            pages: CowMap::new(pages),
         }
     }
 
@@ -321,8 +332,11 @@ impl EncCounters {
         page.minors[block as usize % BLOCKS_PER_PAGE] = value;
     }
 
-    /// Serializes the counter metadata block containing `block`'s
-    /// counter (the bytes the engine MACs and the tree protects).
+    /// Serializes counter metadata block `counter_block` (the bytes the
+    /// engine MACs and the tree protects).
+    ///
+    /// # Panics
+    /// Panics if `counter_block >= self.counter_blocks()`.
     pub fn counter_block_bytes(&self, counter_block: u64) -> Vec<u8> {
         let mut buf = HashBuf::new();
         self.fill_counter_block_bytes(counter_block, &mut buf);
@@ -331,17 +345,33 @@ impl EncCounters {
 
     /// Serializes a counter block into a stack buffer (the
     /// allocation-free form of [`EncCounters::counter_block_bytes`],
-    /// used on the MAC/verification hot paths).
+    /// used on the MAC/verification hot paths). SC: the little-endian
+    /// major, then one byte per minor; GC/MoC: the block's eight
+    /// little-endian counters.
+    ///
+    /// # Panics
+    /// Panics if `counter_block >= self.counter_blocks()`.
     pub fn fill_counter_block_bytes(&self, counter_block: u64, out: &mut HashBuf) {
+        assert!(
+            counter_block < self.counter_blocks(),
+            "counter block {counter_block} outside protected region"
+        );
         out.clear();
         match self.scheme {
             CounterScheme::Split => {
-                let zero = SplitCounterBlock::new();
-                let page = self.pages.get(counter_block).unwrap_or(&zero);
-                out.push_u64_le(page.major);
-                for m in &page.minors {
-                    out.push_u8(*m as u8);
-                }
+                let mut minors = [0u8; BLOCKS_PER_PAGE];
+                let major = match self.pages.get(counter_block) {
+                    Some(page) => {
+                        // Lossless: `new` bounds split minors to 8 bits.
+                        for (b, m) in minors.iter_mut().zip(&page.minors) {
+                            *b = *m as u8;
+                        }
+                        page.major
+                    }
+                    None => 0,
+                };
+                out.push_u64_le(major);
+                out.extend(&minors);
             }
             CounterScheme::Global | CounterScheme::Monolithic => {
                 let start = counter_block * 8;
@@ -474,6 +504,68 @@ mod tests {
     fn out_of_range_block_panics() {
         let mut c = EncCounters::new(CounterScheme::Split, CounterWidths::default(), 64);
         c.increment(64);
+    }
+
+    /// A 9-bit minor would serialize as `m as u8`, so a page whose
+    /// block 5 was written 256 times would hash like a fresh page.
+    #[test]
+    #[should_panic(expected = "split minor counters must be 1..=8 bits wide")]
+    fn split_minor_wider_than_a_byte_is_rejected() {
+        let w = CounterWidths { minor_bits: 9, mono_bits: 64 };
+        EncCounters::new(CounterScheme::Split, w, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "split minor counters must be 1..=8 bits wide")]
+    fn split_minor_of_zero_bits_is_rejected() {
+        let w = CounterWidths { minor_bits: 0, mono_bits: 64 };
+        EncCounters::new(CounterScheme::Split, w, 128);
+    }
+
+    /// Every value an accepted minor width can hold reaches the
+    /// counter-block bytes: no two states of one block serialize alike.
+    #[test]
+    fn every_split_minor_value_is_bound_into_the_counter_block() {
+        for minor_bits in 1..=8u8 {
+            let w = CounterWidths { minor_bits, mono_bits: 64 };
+            let mut c = EncCounters::new(CounterScheme::Split, w, 128);
+            let mut seen = vec![c.counter_block_bytes(0)];
+            for _ in 0..w.minor_max() {
+                assert!(c.increment(5).overflow.is_none());
+                seen.push(c.counter_block_bytes(0));
+            }
+            let distinct: std::collections::BTreeSet<_> = seen.iter().collect();
+            assert_eq!(distinct.len(), seen.len(), "{minor_bits}-bit minors");
+        }
+    }
+
+    /// A page no write has touched serializes exactly like a
+    /// materialized all-zero page (the allocation-free absent path).
+    #[test]
+    fn absent_page_serializes_like_a_zeroed_page() {
+        let mut c = EncCounters::new(CounterScheme::Split, CounterWidths::default(), 256);
+        let absent = c.counter_block_bytes(1);
+        c.set_minor(64, 0);
+        assert_eq!(c.counter_block_bytes(1), absent);
+        let mut expect = vec![0u8; 8 + BLOCKS_PER_PAGE];
+        assert_eq!(absent, expect);
+        c.set_minor(65, 9);
+        expect[8 + 1] = 9;
+        assert_eq!(c.counter_block_bytes(1), expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter block 4 outside protected region")]
+    fn split_counter_block_index_is_bounds_checked() {
+        let c = EncCounters::new(CounterScheme::Split, CounterWidths::default(), 256);
+        c.counter_block_bytes(c.counter_blocks());
+    }
+
+    #[test]
+    #[should_panic(expected = "counter block 32 outside protected region")]
+    fn monolithic_counter_block_index_is_bounds_checked() {
+        let c = EncCounters::new(CounterScheme::Monolithic, CounterWidths::default(), 256);
+        c.counter_block_bytes(c.counter_blocks());
     }
 
     #[test]

@@ -73,16 +73,7 @@ impl HashBuf {
 
     /// Appends raw bytes.
     pub fn extend(&mut self, data: &[u8]) {
-        if !self.spill.is_empty() {
-            self.spill.extend_from_slice(data);
-        } else if self.len + data.len() <= HASH_BUF_CAPACITY {
-            self.bytes[self.len..self.len + data.len()].copy_from_slice(data);
-            self.len += data.len();
-        } else {
-            self.spill.reserve(self.len + data.len());
-            self.spill.extend_from_slice(&self.bytes[..self.len]);
-            self.spill.extend_from_slice(data);
-        }
+        self.tail_mut(data.len()).copy_from_slice(data);
     }
 
     /// Appends a little-endian `u64`.
@@ -90,14 +81,42 @@ impl HashBuf {
         self.extend(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn push_u16_le(&mut self, v: u16) {
-        self.extend(&v.to_le_bytes());
+    /// Appends each of `vs` as a little-endian `u64`, in order (one
+    /// bounds check for the whole slice instead of one per element).
+    pub fn push_u64s_le(&mut self, vs: &[u64]) {
+        let dst = self.tail_mut(8 * vs.len());
+        for (d, v) in dst.chunks_exact_mut(8).zip(vs) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
     }
 
-    /// Appends one byte.
-    pub fn push_u8(&mut self, v: u8) {
-        self.extend(&[v]);
+    /// Appends each of `vs` as a little-endian `u16`, in order.
+    pub fn push_u16s_le(&mut self, vs: &[u16]) {
+        let dst = self.tail_mut(2 * vs.len());
+        for (d, v) in dst.chunks_exact_mut(2).zip(vs) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Grows the buffer by `n` bytes and returns them for the caller to
+    /// overwrite, spilling to the heap when the inline array would
+    /// overflow.
+    fn tail_mut(&mut self, n: usize) -> &mut [u8] {
+        if self.spill.is_empty() && self.len + n <= HASH_BUF_CAPACITY {
+            let start = self.len;
+            self.len += n;
+            return &mut self.bytes[start..start + n];
+        }
+        if self.spill.is_empty() {
+            // `n > 0` here (the inline array holds `len <= CAPACITY`
+            // bytes), so the spill becomes non-empty and owns the
+            // whole buffer from now on.
+            self.spill.reserve(self.len + n);
+            self.spill.extend_from_slice(&self.bytes[..self.len]);
+        }
+        let start = self.spill.len();
+        self.spill.resize(start + n, 0);
+        &mut self.spill[start..]
     }
 }
 
@@ -134,8 +153,8 @@ mod tests {
     fn matches_vec_serialization() {
         let mut b = HashBuf::new();
         b.push_u64_le(0x0102030405060708);
-        b.push_u16_le(0x0a0b);
-        b.push_u8(0xff);
+        b.push_u16s_le(&[0x0a0b]);
+        b.extend(&[0xff]);
         b.extend(&[1, 2, 3]);
         let mut v = Vec::new();
         v.extend_from_slice(&0x0102030405060708u64.to_le_bytes());
@@ -161,7 +180,7 @@ mod tests {
         b.clear();
         assert!(b.is_empty());
         // Reuse after a spill goes back through the same path.
-        b.push_u8(7);
+        b.extend(&[7]);
         assert_eq!(b.as_slice(), &[7]);
     }
 
@@ -173,5 +192,32 @@ mod tests {
         let mut v = vec![0xAA; HASH_BUF_CAPACITY - 3];
         v.extend_from_slice(&[0xBB; 8]);
         assert_eq!(b.as_slice(), &v[..]);
+    }
+
+    /// The slice pushers write exactly the bytes of one push per
+    /// element, from any starting fill, inline or across the spill
+    /// boundary.
+    #[test]
+    fn bulk_pushers_match_per_element_pushes() {
+        let u64s: Vec<u64> = (0..40u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let u16s: Vec<u16> = (0..90u16).map(|i| i.wrapping_mul(40503)).collect();
+        for prefix in [0usize, 1, 7, 100, HASH_BUF_CAPACITY - 9, HASH_BUF_CAPACITY, 300] {
+            for n in [0usize, 1, 4, 32, 40] {
+                let mut bulk = HashBuf::new();
+                let mut each = HashBuf::new();
+                bulk.extend(&vec![0x5a; prefix]);
+                each.extend(&vec![0x5a; prefix]);
+                bulk.push_u64s_le(&u64s[..n]);
+                for v in &u64s[..n] {
+                    each.push_u64_le(*v);
+                }
+                bulk.push_u16s_le(&u16s[..2 * n]);
+                for v in &u16s[..2 * n] {
+                    each.extend(&v.to_le_bytes());
+                }
+                assert_eq!(bulk, each, "prefix {prefix}, {n} elements");
+                assert_eq!(bulk.len(), prefix + 8 * n + 4 * n);
+            }
+        }
     }
 }

@@ -217,22 +217,14 @@ impl IntegrityTree {
     pub fn fill_node_bytes(&self, id: NodeId, out: &mut HashBuf) {
         out.clear();
         match self.node(id) {
-            NodePayload::Hashes(hs) => {
-                for h in hs {
-                    out.push_u64_le(*h);
-                }
-            }
+            NodePayload::Hashes(hs) => out.push_u64s_le(hs),
             NodePayload::Split { major, minors, hash } => {
                 out.push_u64_le(*major);
-                for m in minors {
-                    out.push_u16_le(*m);
-                }
+                out.push_u16s_le(minors);
                 out.push_u64_le(*hash);
             }
             NodePayload::Mono { counters, hash } => {
-                for c in counters {
-                    out.push_u64_le(*c);
-                }
+                out.push_u64s_le(counters);
                 out.push_u64_le(*hash);
             }
         }
@@ -317,25 +309,14 @@ impl IntegrityTree {
     /// of *this* node (binding the node to its parent's state).
     fn fill_embedded_hash_input(&self, id: NodeId, buf: &mut HashBuf) {
         buf.clear();
-        buf.push_u64_le(id.level as u64);
-        buf.push_u64_le(id.index);
+        buf.push_u64s_le(&[id.level as u64, id.index]);
         match self.node(id) {
-            NodePayload::Hashes(hs) => {
-                for h in hs {
-                    buf.push_u64_le(*h);
-                }
-            }
+            NodePayload::Hashes(hs) => buf.push_u64s_le(hs),
             NodePayload::Split { major, minors, .. } => {
                 buf.push_u64_le(*major);
-                for m in minors {
-                    buf.push_u16_le(*m);
-                }
+                buf.push_u16s_le(minors);
             }
-            NodePayload::Mono { counters, .. } => {
-                for c in counters {
-                    buf.push_u64_le(*c);
-                }
-            }
+            NodePayload::Mono { counters, .. } => buf.push_u64s_le(counters),
         }
         if let Some(parent) = self.geometry.parent(id) {
             let slot = self.geometry.child_slot(id).expect("non-root");
@@ -374,22 +355,24 @@ impl IntegrityTree {
     }
 
     /// Initializes the hash tree's stored hashes from the actual initial
-    /// counter-block contents (`cb_bytes(cb)`), propagating upwards.
-    /// No-op for counter trees, whose embedded hashes are sealed in
-    /// [`IntegrityTree::new`].
-    pub fn init_leaf_hashes(&mut self, cb_bytes: impl Fn(u64) -> Vec<u8>) {
+    /// counter-block contents, propagating upwards. `fill_cb(cb, buf)`
+    /// serializes counter block `cb` into `buf` (replacing its
+    /// contents). No-op for counter trees, whose embedded hashes are
+    /// sealed in [`IntegrityTree::new`].
+    pub fn init_leaf_hashes(&mut self, fill_cb: impl Fn(u64, &mut HashBuf)) {
         if !matches!(self.kind, TreeKind::Hash) {
             return;
         }
+        let mut buf = HashBuf::new();
         for cb in 0..self.geometry.covered() {
             let leaf = self.geometry.leaf_of(cb);
             let slot = self.geometry.leaf_slot_of(cb);
-            let h = digest64(&cb_bytes(cb));
+            fill_cb(cb, &mut buf);
+            let h = digest64(&buf);
             if let NodePayload::Hashes(hs) = self.node_mut(leaf) {
                 hs[slot] = h;
             }
         }
-        let mut buf = HashBuf::new();
         for level in 0..self.geometry.levels() - 1 {
             for index in 0..self.geometry.nodes_at(level) {
                 let node = NodeId::new(level, index);
@@ -651,7 +634,10 @@ mod tests {
             TreeKind::SplitCounter => IntegrityTree::sct(covered),
             TreeKind::Sgx => IntegrityTree::sit(covered),
         };
-        t.init_leaf_hashes(|_| vec![0u8; 64]);
+        t.init_leaf_hashes(|_, buf| {
+            buf.clear();
+            buf.extend(&[0u8; 64]);
+        });
         t
     }
 
