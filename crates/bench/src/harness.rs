@@ -79,12 +79,6 @@ fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct RunSettings {
     /// Worker-thread count for trial fan-out (minimum 1).
     pub threads: usize,
-    /// Batched-execution lane width (`METALEAK_LANES`, minimum 1).
-    /// Installed process-wide via
-    /// [`metaleak_engine::batch::set_lane_count`] when the experiment
-    /// is constructed; 1 is the byte-for-byte scalar path, ≥ 2 enables
-    /// the engine's verification memo for lane-parallel sweeps.
-    pub lanes: usize,
     /// Artifact sink directory. `None` falls back to the process-wide
     /// resolution ([`crate::try_out_dir`]: `METALEAK_OUT_DIR`, then
     /// `target/experiments`); `Some` pins this experiment's outputs —
@@ -115,7 +109,6 @@ impl Default for RunSettings {
     fn default() -> Self {
         RunSettings {
             threads: 1,
-            lanes: 1,
             out_dir: None,
             quick: true,
             sharing: true,
@@ -132,7 +125,6 @@ impl RunSettings {
     pub fn from_env() -> Self {
         RunSettings {
             threads: default_threads(),
-            lanes: default_lanes(),
             out_dir: None,
             quick: quick_mode(),
             sharing: crate::snapshot_sharing(),
@@ -157,25 +149,6 @@ pub fn default_threads() -> usize {
             }
         },
         _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
-}
-
-/// Lane width used by [`RunSettings::from_env`]: the value of
-/// `METALEAK_LANES` when set (minimum 1), otherwise 1 — the scalar
-/// path stays the default; batching is opt-in. An unparsable or zero
-/// value warns (through the [`crate::diag`] sink) and falls back to 1,
-/// numerically agreeing with the engine's own strict fallback in
-/// [`metaleak_engine::batch::lane_count`].
-pub fn default_lanes() -> usize {
-    match std::env::var("METALEAK_LANES") {
-        Ok(v) if !v.trim().is_empty() => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                crate::warn_env_once("METALEAK_LANES", &v, "a positive integer", "1");
-                1
-            }
-        },
-        _ => 1,
     }
 }
 
@@ -288,10 +261,6 @@ impl Experiment {
     /// `settings.out_dir` is `None`. The in-process entry point for
     /// callers (servers, tests) that configure each run individually.
     pub fn with_settings(name: &str, seed: u64, settings: RunSettings) -> Self {
-        // Install the lane width process-wide so every engine
-        // construction under this experiment (bins, serve jobs, fuzz
-        // campaigns) picks up batching without per-call plumbing.
-        metaleak_engine::batch::set_lane_count(settings.lanes);
         Experiment {
             name: name.to_owned(),
             seed,
@@ -307,14 +276,6 @@ impl Experiment {
     /// Overrides the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.settings.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the batched-execution lane width (minimum 1) and
-    /// installs it process-wide, like construction does.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.settings.lanes = lanes.max(1);
-        metaleak_engine::batch::set_lane_count(self.settings.lanes);
         self
     }
 
@@ -382,11 +343,6 @@ impl Experiment {
     /// The worker-thread count trials will fan out over.
     pub fn threads(&self) -> usize {
         self.settings.threads
-    }
-
-    /// The batched-execution lane width in effect.
-    pub fn lanes(&self) -> usize {
-        self.settings.lanes
     }
 
     /// The run settings this experiment executes under.
@@ -646,7 +602,6 @@ impl Experiment {
             .field("experiment", self.name.as_str())
             .field("seed", self.seed)
             .field("threads", self.settings.threads)
-            .field("lanes", self.settings.lanes)
             .field("trials", rows.len())
             .field("rows", rows.len())
             .field("failed", failures.len())

@@ -165,12 +165,14 @@ impl Json {
     /// fraction or exponent become [`Json::UInt`]/[`Json::Int`], all
     /// others [`Json::Float`]; object field order is preserved, and
     /// `\uXXXX` escapes (including surrogate pairs) are decoded.
+    /// Arrays and objects nest at most 128 levels deep, so a hostile
+    /// input cannot exhaust the parsing thread's stack.
     ///
     /// # Errors
     /// [`JsonParseError`] with the byte offset of the first offending
     /// character.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -181,9 +183,16 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level; the documents this workspace writes
+/// nest only a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -225,11 +234,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, a level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deeply"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonParseError> {
@@ -596,6 +619,9 @@ mod tests {
             .field("empty_obj", Json::Obj(Vec::new()))
             .build();
         assert_round_trips(v);
+        // The deepest nesting the parser accepts.
+        let deepest = (1..MAX_DEPTH).fold(Json::Obj(Vec::new()), |inner, _| Json::Arr(vec![inner]));
+        assert_round_trips(deepest);
     }
 
     #[test]
@@ -626,6 +652,8 @@ mod tests {
 
     #[test]
     fn rejects_malformed_inputs() {
+        let deep = "[".repeat(100_000);
+        let one_too_deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
         for bad in [
             "",
             "{",
@@ -646,6 +674,8 @@ mod tests {
             "[1],",
             "--1",
             "-",
+            &deep,
+            &one_too_deep,
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }

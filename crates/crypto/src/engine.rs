@@ -49,10 +49,6 @@ pub struct CryptoEngine {
     /// rebuild the key schedule of any past epoch (rotation derives
     /// every later key as a pure function of the epoch number).
     key0: [u8; 16],
-    /// Digest of the construction key: a compact identity for
-    /// memoization keys, so verification results cached under one key
-    /// can never be confused with another engine's.
-    key_id: u64,
 }
 
 impl CryptoEngine {
@@ -69,7 +65,6 @@ impl CryptoEngine {
             latency,
             epoch: 0,
             key0: key,
-            key_id: digest64(&key),
         }
     }
 
@@ -81,14 +76,6 @@ impl CryptoEngine {
     /// Current key epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Compact identity of the construction key (digest of `key0`).
-    /// Together with [`CryptoEngine::epoch`] it uniquely identifies the
-    /// active key schedule, which is what value-keyed verification
-    /// memoization must include so entries never cross engines.
-    pub fn key_id(&self) -> u64 {
-        self.key_id
     }
 
     /// Re-keys the engine (key change after global counter overflow).
@@ -129,7 +116,6 @@ impl CryptoEngine {
             latency: self.latency,
             epoch,
             key0: self.key0,
-            key_id: self.key_id,
         }
     }
 

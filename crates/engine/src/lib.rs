@@ -26,12 +26,10 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod config;
 pub mod secmem;
 pub mod snapshot;
 
-pub use batch::{LaneBatch, LaneBatchBuilder, LaneError, LaneObservations};
 pub use config::{SecureConfig, SecureConfigBuilder};
 pub use secmem::{
     AccessPath, ReadResult, SecureMemError, SecureMemory, SecureMemoryBuilder, TamperKind,
@@ -53,13 +51,10 @@ pub const STATE_SHAPE: &str = "cow-v1";
 ///
 /// Downstream crates and bins should reach for `use
 /// metaleak_engine::prelude::*;` rather than deep module paths — every
-/// type needed to configure, build, run, snapshot and lane-batch the
-/// engine is re-exported here, and additions to this list are the
-/// engine's API-stability commitment.
+/// type needed to configure, build, run and snapshot the engine is
+/// re-exported here, and additions to this list are the engine's
+/// API-stability commitment.
 pub mod prelude {
-    pub use crate::batch::{
-        lane_count, set_lane_count, LaneBatch, LaneBatchBuilder, LaneError, LaneObservations,
-    };
     pub use crate::config::{SecureConfig, SecureConfigBuilder};
     pub use crate::secmem::{
         AccessPath, ReadResult, SecureMemError, SecureMemory, SecureMemoryBuilder, TamperKind,

@@ -467,19 +467,12 @@ impl<T: Tracer> SecureMemory<T> {
         self.macs.insert(index, mac);
     }
 
-    fn current_cb_mac(&self, cb: u64) -> Tag {
-        let mut bytes = HashBuf::new();
-        self.enc.fill_counter_block_bytes(cb, &mut bytes);
+    /// The MAC of counter block `cb` over its serialized `bytes`, bound
+    /// to the block's address and tree leaf version.
+    fn current_cb_mac(&self, cb: u64, bytes: &[u8]) -> Tag {
         let version = self.tree.leaf_version(cb);
         let addr = self.layout.counter_addr(cb).index();
-        self.crypto.mac_bytes(&bytes, version, addr)
-    }
-
-    fn materialize_cb_mac(&mut self, cb: u64) {
-        if !self.cb_macs.contains_key(cb) {
-            let mac = self.current_cb_mac(cb);
-            self.cb_macs.insert(cb, mac);
-        }
+        self.crypto.mac_bytes(bytes, version, addr)
     }
 
     // ------------------------------------------------------------------
@@ -496,7 +489,7 @@ impl<T: Tracer> SecureMemory<T> {
         let mut bytes = HashBuf::new();
         self.enc.fill_counter_block_bytes(cb, &mut bytes);
         let update = self.tree.record_counter_writeback(cb, &bytes);
-        let mac = self.current_cb_mac(cb);
+        let mac = self.current_cb_mac(cb, &bytes);
         self.cb_macs.insert(cb, mac);
         self.touch_tree_dirty(update.dirty);
         if let Some(ev) = update.overflow {
@@ -563,8 +556,10 @@ impl<T: Tracer> SecureMemory<T> {
         let until = now + duration;
         // Re-MAC the covered counter blocks against their reset leaf
         // versions, and occupy the touched banks.
+        let mut bytes = HashBuf::new();
         for cb in ev.attached.clone() {
-            let mac = self.current_cb_mac(cb);
+            self.enc.fill_counter_block_bytes(cb, &mut bytes);
+            let mac = self.current_cb_mac(cb, &bytes);
             self.cb_macs.insert(cb, mac);
             self.mc.occupy_bank_of(self.layout.counter_addr(cb), until);
         }
@@ -598,8 +593,10 @@ impl<T: Tracer> SecureMemory<T> {
             // and would falsely trip tamper detection on its next
             // verification; re-seal them all.
             let cbs: Vec<u64> = self.cb_macs.keys().collect();
+            let mut bytes = HashBuf::new();
             for cb in cbs {
-                let mac = self.current_cb_mac(cb);
+                self.enc.fill_counter_block_bytes(cb, &mut bytes);
+                let mac = self.current_cb_mac(cb, &bytes);
                 self.cb_macs.insert(cb, mac);
             }
         }
@@ -761,26 +758,10 @@ impl<T: Tracer> SecureMemory<T> {
             latency += cb_read.latency + Cycles::new(self.config.mee_extra);
 
             // Verification walk (Algorithm 2) against cached tree
-            // state. Digest checks route through the verification memo
-            // so lane-batched runs skip recomputing hashes over node
-            // content already verified (the walk's structure, latencies
-            // and outcome are value-determined either way).
+            // state.
             let mut bytes = HashBuf::new();
             self.enc.fill_counter_block_bytes(cb, &mut bytes);
-            let walk = {
-                let tree = &self.tree;
-                let layout = &self.layout;
-                let mcaches = &self.mcaches;
-                tree.verify_counter_block_with(
-                    cb,
-                    &bytes,
-                    |n| {
-                        tree.geometry().is_root(n)
-                            || mcaches.tree_cached(layout.node_addr(n).index())
-                    },
-                    &mut crate::batch::check_digest64,
-                )
-            };
+            let walk = self.tree.verify_counter_block(cb, &bytes, |n| self.tree_node_cached(n));
             let loaded_levels = walk.loaded.len() as u8;
             let to_root = loaded_levels == self.tree.geometry().levels() - 1;
             for node in &walk.loaded {
@@ -826,19 +807,17 @@ impl<T: Tracer> SecureMemory<T> {
                 return Err(SecureMemError::TamperDetected(TamperKind::TreeNode));
             }
             // Counter-block MAC check (freshness bound to leaf
-            // version), memo-aware: `check_cb_mac` recomputes the tag
-            // exactly like [`Self::current_cb_mac`] on a memo miss.
-            self.materialize_cb_mac(cb);
+            // version). A block with no stored tag has not been sealed
+            // since construction; its tag is sealed from these bytes.
             latency += Cycles::new(self.crypto.mac_latency());
-            let stored = *self.cb_macs.get(cb).expect("materialized");
-            let version = self.tree.leaf_version(cb);
-            let cb_mac_ok = crate::batch::check_cb_mac(
-                &self.crypto,
-                &bytes,
-                version,
-                self.layout.counter_addr(cb).index(),
-                &stored,
-            );
+            let tag = self.current_cb_mac(cb, &bytes);
+            let cb_mac_ok = match self.cb_macs.get(cb) {
+                Some(stored) => *stored == tag,
+                None => {
+                    self.cb_macs.insert(cb, tag);
+                    true
+                }
+            };
             if T::ENABLED {
                 self.tracer.record(
                     now + latency,
@@ -884,15 +863,12 @@ impl<T: Tracer> SecureMemory<T> {
         };
 
         // 3. Authenticate (and in debug builds decrypt-check) the data
-        // block. The MAC verification is memo-aware: a batched sibling
-        // lane that already authenticated this exact (ciphertext,
-        // counter, address, tag) tuple lets us skip the GHASH
-        // recomputation.
+        // block.
         let ctr = self.enc.value(index);
         let a = addr.index();
         let ct = *self.cipher.get(index).expect("materialized");
-        let stored_mac = *self.macs.get(index).expect("materialized");
-        let data_mac_ok = crate::batch::check_data_mac(&self.crypto, &ct, ctr, a, &stored_mac);
+        let data_mac_ok =
+            self.crypto.mac_block(&ct, ctr, a) == *self.macs.get(index).expect("materialized");
         if T::ENABLED {
             self.tracer.record(
                 now + latency,
@@ -1358,6 +1334,42 @@ mod tests {
             m.read(CoreId(0), 4),
             Err(SecureMemError::TamperDetected(TamperKind::DataMac))
         ));
+    }
+
+    #[test]
+    fn counter_mac_tamper_detected() {
+        use crate::config::SecureConfigBuilder;
+        use metaleak_meta::mcache::MetaCacheConfig;
+        use metaleak_sim::config::SimConfig;
+        let tiny =
+            |b: SecureConfigBuilder| b.sim(SimConfig::small()).mcache(MetaCacheConfig::small());
+        let configs = [
+            ("sct", SecureConfig::test_tiny()),
+            ("ht", tiny(SecureConfigBuilder::ht(64)).build()),
+            ("sit", tiny(SecureConfigBuilder::sit(64)).build()),
+        ];
+        let detected = SecureMemError::TamperDetected(TamperKind::CounterMac);
+        for (name, cfg) in configs {
+            // A wrong tag stored before the block's first verification.
+            let mut m = SecureMemory::new(cfg.clone());
+            let cb = m.counter_block_of(0);
+            let mut bytes = HashBuf::new();
+            m.enc.fill_counter_block_bytes(cb, &mut bytes);
+            let mut bad = m.current_cb_mac(cb, &bytes);
+            bad[0] ^= 1;
+            m.cb_macs.insert(cb, bad);
+            assert_eq!(m.read(CoreId(0), 0).unwrap_err(), detected, "{name}: first check");
+
+            // A tag corrupted after a passing check, once the counter
+            // line is gone and the next read must refetch it.
+            let mut m = SecureMemory::new(cfg);
+            m.read(CoreId(0), 0).unwrap();
+            m.force_counter_writeback(cb);
+            m.cb_macs.get_mut(cb).expect("sealed by the first read")[0] ^= 1;
+            m.flush_block(0);
+            assert!(!m.counter_cached(0), "{name}");
+            assert_eq!(m.read(CoreId(0), 0).unwrap_err(), detected, "{name}: after a pass");
+        }
     }
 
     #[test]

@@ -167,7 +167,6 @@ pub fn replay(
     let traced = trace_log.is_some();
     let settings = RunSettings {
         threads: threads.max(1),
-        lanes: metaleak_bench::harness::default_lanes(),
         out_dir: Some(out_dir.to_path_buf()),
         quick: true,
         sharing: true,

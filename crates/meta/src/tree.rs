@@ -527,25 +527,6 @@ impl IntegrityTree {
         cb_bytes: &[u8],
         is_cached: impl Fn(NodeId) -> bool,
     ) -> VerifyWalk {
-        self.verify_counter_block_with(cb, cb_bytes, is_cached, &mut |input, expected| {
-            digest64(input) == expected
-        })
-    }
-
-    /// [`IntegrityTree::verify_counter_block`] with the digest check
-    /// routed through `check(input, expected)`, so callers can memoize
-    /// repeated verifications of identical node content (the engine's
-    /// lane-batched execution). `check` must be equivalent to
-    /// `digest64(input) == expected`; the walk itself (nodes loaded,
-    /// modeled hash operations) is independent of how the check is
-    /// evaluated.
-    pub fn verify_counter_block_with(
-        &self,
-        cb: u64,
-        cb_bytes: &[u8],
-        is_cached: impl Fn(NodeId) -> bool,
-        check: &mut dyn FnMut(&[u8], u64) -> bool,
-    ) -> VerifyWalk {
         let mut loaded = Vec::new();
         let mut hash_ops = 0u64;
         let mut ok = true;
@@ -556,7 +537,7 @@ impl IntegrityTree {
         let slot = self.geometry.leaf_slot_of(cb);
         if matches!(self.kind, TreeKind::Hash) {
             hash_ops += 1;
-            ok &= check(cb_bytes, self.parent_slot_version(leaf, slot));
+            ok &= digest64(cb_bytes) == self.parent_slot_version(leaf, slot);
         }
         // (Counter trees bind cb freshness via the engine's MAC keyed by
         // leaf_version; nothing to check here.)
@@ -575,15 +556,12 @@ impl IntegrityTree {
                     let pslot = self.geometry.child_slot(cur).expect("non-root");
                     hash_ops += 1;
                     self.fill_node_bytes(cur, &mut buf);
-                    ok &= check(&buf, self.parent_slot_version(parent, pslot));
+                    ok &= digest64(&buf) == self.parent_slot_version(parent, pslot);
                 }
                 TreeKind::SplitCounter | TreeKind::Sgx => {
                     hash_ops += 1;
                     self.fill_embedded_hash_input(cur, &mut buf);
-                    ok &= match self.embedded_hash(cur) {
-                        Some(h) => check(&buf, h),
-                        None => false,
-                    };
+                    ok &= self.embedded_hash(cur).is_some_and(|h| digest64(&buf) == h);
                 }
             }
             cur = self.geometry.parent(cur).expect("non-root");

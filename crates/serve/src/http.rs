@@ -125,21 +125,24 @@ fn handle_connection(stream: TcpStream, server: &Server) {
 /// answer with.
 fn read_request(stream: &TcpStream) -> Result<Request, u16> {
     let mut reader = BufReader::new(stream);
-    let mut head = String::new();
+    // The bound applies within a line too: a head with no line end is
+    // answered after `MAX_HEAD + 1` bytes instead of buffered forever.
+    let mut limited = reader.by_ref().take(MAX_HEAD as u64 + 1);
+    let mut head = Vec::new();
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(|_| 400u16)?;
+        let start = head.len();
+        let n = limited.read_until(b'\n', &mut head).map_err(|_| 400u16)?;
         if n == 0 {
             return Err(400);
         }
-        head.push_str(&line);
         if head.len() > MAX_HEAD {
             return Err(413);
         }
-        if line == "\r\n" || line == "\n" {
+        if matches!(&head[start..], b"\r\n" | b"\n") {
             break;
         }
     }
+    let head = String::from_utf8(head).map_err(|_| 400u16)?;
     let mut lines = head.lines();
     let request_line = lines.next().ok_or(400u16)?;
     let mut parts = request_line.split_whitespace();

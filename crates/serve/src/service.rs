@@ -634,7 +634,6 @@ fn finalize(inner: &Arc<Inner>, exec: &Arc<Exec>) {
 
     let settings = RunSettings {
         threads: 1,
-        lanes: metaleak_bench::harness::default_lanes(),
         out_dir: Some(exec.dir.clone()),
         journal: false,
         ..RunSettings::default()

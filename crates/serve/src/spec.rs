@@ -531,6 +531,7 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_rejected() {
+        let deep = "[".repeat(100_000);
         let cases = [
             ("not json", "invalid JSON"),
             ("[1,2]", "must be a JSON object"),
@@ -561,6 +562,7 @@ mod tests {
                 r#"{"experiment":"x","victim":"covert_t","configs":["sct"],"seeds":[1],"tree_minor_bits":9}"#,
                 "tree_minor_bits",
             ),
+            (&deep, "nested too deeply"),
         ];
         for (text, needle) in cases {
             let e = SweepSpec::parse(text).expect_err(text);

@@ -274,6 +274,25 @@ fn http_round_trip_submits_polls_and_hits_the_cache() {
 }
 
 #[test]
+fn over_long_request_head_is_answered_without_a_line_end() {
+    // One byte past the front end's 16 KiB head bound and no newline.
+    // Exactly that many bytes, so the server reads everything it was
+    // sent and its close cannot turn into a reset.
+    const MAX_HEAD: usize = 16 * 1024;
+    let (server, dir) = server("longhead", 1);
+    let mut front = HttpServer::bind("127.0.0.1:0", Arc::new(server)).expect("bind");
+    let mut stream = TcpStream::connect(front.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(&[b'G'; MAX_HEAD + 1]).expect("send head");
+    // The socket stays open: only the bound can end the server's read.
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("answered before the read timeout");
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response:?}");
+    front.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn restarted_server_serves_the_previous_run_from_disk() {
     // Cache durability: a second server process over the same cache
     // root answers the identical spec without re-executing.

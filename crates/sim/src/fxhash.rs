@@ -1,12 +1,11 @@
 //! Multiply-rotate hashing (the rustc `FxHash` construction) for hot
 //! simulator maps.
 //!
-//! Several per-access structures — the memory controller's write-queue
-//! occupancy index, the engine's verification memo — sit on the hottest
-//! simulated-read path and are keyed by plain value content with no
-//! adversarial collision pressure. The standard library's SipHash
-//! costs about as much per lookup as the work those maps exist to
-//! avoid, so they use this fast non-cryptographic hasher instead.
+//! The memory controller's write-queue occupancy index sits on the
+//! hottest simulated-read path and is keyed by plain block addresses
+//! with no adversarial collision pressure. The standard library's
+//! SipHash costs about as much per lookup as the work that map exists
+//! to avoid, so it uses this fast non-cryptographic hasher instead.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
