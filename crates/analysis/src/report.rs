@@ -69,16 +69,15 @@ pub fn assess(data: &ExperimentData) -> Assessment {
     let labelled = data.labelled_samples();
     let as_f64: Vec<(u64, f64)> = labelled.iter().map(|&(c, v)| (c, v as f64)).collect();
 
-    let tvla = welch::tvla_from_labelled(&as_f64);
+    // The bootstrap resamples exactly the populations the t-test
+    // compared.
+    let populations = welch::class_populations(&as_f64);
+    let tvla = populations.as_ref().and_then(|(a, b)| welch::welch_t(a, b));
     let mi = mi::mutual_information(&labelled, mi::default_bins(labelled.len()));
 
     // Bootstrap the between-class effect with a stream derived from
     // the experiment's own seed: byte-reproducible by construction.
-    let effect_ci = tvla.as_ref().and_then(|t| {
-        let cut = split_cut(&labelled)?;
-        let a: Vec<f64> = as_f64.iter().filter(|&&(c, _)| c < cut).map(|&(_, v)| v).collect();
-        let b: Vec<f64> = as_f64.iter().filter(|&&(c, _)| c >= cut).map(|&(_, v)| v).collect();
-        let _ = t;
+    let effect_ci = populations.filter(|_| tvla.is_some()).and_then(|(a, b)| {
         let mut rng = SimRng::seed_from(data.seed).split(BOOTSTRAP_STREAM);
         bootstrap::mean_diff_ci(&a, &b, bootstrap::DEFAULT_RESAMPLES, 0.95, &mut rng)
     });
@@ -130,18 +129,6 @@ pub fn assess(data: &ExperimentData) -> Assessment {
         capacity,
         roc,
     }
-}
-
-/// The class cut [`welch::tvla_from_labelled`] uses, replicated so the
-/// bootstrap resamples exactly the populations the t-test compared.
-fn split_cut(samples: &[(u64, u64)]) -> Option<u64> {
-    let mut classes: Vec<u64> = samples.iter().map(|&(c, _)| c).collect();
-    classes.sort_unstable();
-    classes.dedup();
-    if classes.len() < 2 {
-        return None;
-    }
-    Some(if classes.len() == 2 { classes[1] } else { classes[classes.len() / 2] })
 }
 
 /// A full leakage report over an experiment directory.

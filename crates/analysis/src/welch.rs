@@ -101,14 +101,14 @@ pub fn welch_t(a: &[f64], b: &[f64]) -> Option<WelchResult> {
     Some(WelchResult { t, df, mean_a, mean_b, n_a: a.len(), n_b: b.len() })
 }
 
-/// Splits class-labelled samples into the two TVLA populations and
-/// runs [`welch_t`]. With exactly two distinct classes they map
-/// directly to the populations; with more (e.g. covert-C's 7-bit
-/// symbols) the samples are partitioned around the median class,
-/// which preserves the fixed-vs-random spirit (low-secret vs
-/// high-secret halves) without discarding data. Returns `None` when
-/// fewer than two distinct classes exist or either half is too small.
-pub fn tvla_from_labelled(samples: &[(u64, f64)]) -> Option<WelchResult> {
+/// Splits class-labelled samples into the two TVLA populations. With
+/// exactly two distinct classes they map directly to the populations;
+/// with more (e.g. covert-C's 7-bit symbols) the samples are
+/// partitioned around the median class, which preserves the
+/// fixed-vs-random spirit (low-secret vs high-secret halves) without
+/// discarding data. Returns `None` when fewer than two distinct classes
+/// exist.
+pub fn class_populations(samples: &[(u64, f64)]) -> Option<(Vec<f64>, Vec<f64>)> {
     let mut classes: Vec<u64> = samples.iter().map(|&(c, _)| c).collect();
     classes.sort_unstable();
     classes.dedup();
@@ -123,6 +123,14 @@ pub fn tvla_from_labelled(samples: &[(u64, f64)]) -> Option<WelchResult> {
     };
     let a: Vec<f64> = samples.iter().filter(|&&(c, _)| c < cut).map(|&(_, v)| v).collect();
     let b: Vec<f64> = samples.iter().filter(|&&(c, _)| c >= cut).map(|&(_, v)| v).collect();
+    Some((a, b))
+}
+
+/// Runs [`welch_t`] on the [`class_populations`] of class-labelled
+/// samples. Returns `None` when fewer than two distinct classes exist
+/// or either population is too small.
+pub fn tvla_from_labelled(samples: &[(u64, f64)]) -> Option<WelchResult> {
+    let (a, b) = class_populations(samples)?;
     welch_t(&a, &b)
 }
 

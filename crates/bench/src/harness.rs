@@ -294,20 +294,6 @@ impl Experiment {
         self
     }
 
-    /// Overrides the deterministic per-attempt cycle budget
-    /// (`METALEAK_TRIAL_DEADLINE`); 0 disables it.
-    pub fn with_trial_deadline(mut self, cycles: u64) -> Self {
-        self.settings.policy.deadline_cycles = (cycles > 0).then_some(cycles);
-        self
-    }
-
-    /// Overrides the wall-clock backstop (`METALEAK_TRIAL_WALL_MS`);
-    /// 0 disables it.
-    pub fn with_wall_deadline_ms(mut self, ms: u64) -> Self {
-        self.settings.policy.wall_ms = (ms > 0).then_some(ms);
-        self
-    }
-
     /// Overrides the retry count (`METALEAK_TRIAL_RETRIES`): retries
     /// *after* the first attempt.
     pub fn with_retries(mut self, retries: u32) -> Self {

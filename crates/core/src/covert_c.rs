@@ -2,10 +2,9 @@
 //! 7-bit symbol as the number of writes modulating a shared tree
 //! counter; the spy decodes it from the extra writes needed to overflow.
 
-use crate::channel::{CovertChannel, FramedOutcome, SymbolsOutcome};
 use crate::error::AttackError;
 use crate::metaleak_c::{Bumper, MetaLeakC};
-use crate::resilience::{FrameCodec, RetryPolicy};
+use crate::resilience::{FrameCodec, FramedOutcome, RetryPolicy};
 use crate::timing::LabelledSample;
 use metaleak_engine::secmem::SecureMemory;
 use metaleak_sim::addr::CoreId;
@@ -218,35 +217,6 @@ impl CovertChannelC {
             wire_samples,
             cycles: mem.now() - start,
         })
-    }
-}
-
-impl CovertChannel for CovertChannelC {
-    fn alphabet(&self) -> u64 {
-        self.max_symbol() + 1
-    }
-
-    fn transmit_symbols<Tr: Tracer>(
-        &mut self,
-        mem: &mut SecureMemory<Tr>,
-        symbols: &[u64],
-    ) -> Result<SymbolsOutcome, AttackError> {
-        let out = self.transmit(mem, symbols)?;
-        Ok(SymbolsOutcome {
-            samples: out.labelled_samples(symbols),
-            decoded: out.decoded,
-            cycles: out.cycles,
-        })
-    }
-
-    fn transmit_payload<Tr: Tracer>(
-        &mut self,
-        mem: &mut SecureMemory<Tr>,
-        payload: &[bool],
-        codec: &FrameCodec,
-        policy: &RetryPolicy,
-    ) -> Result<FramedOutcome, AttackError> {
-        self.transmit_framed(mem, payload, codec, policy)
     }
 }
 

@@ -3,17 +3,14 @@
 //! different metadata-cache sets — one *transmission* set (access = bit
 //! '1') and one *boundary* set delimiting bit windows.
 
-use crate::channel::{CovertChannel, SymbolsOutcome};
 use crate::error::AttackError;
 use crate::metaleak_t::MetaLeakT;
-use crate::resilience::{FrameCodec, RetryPolicy};
+use crate::resilience::{FrameCodec, FramedOutcome};
 use crate::timing::LabelledSample;
 use metaleak_engine::secmem::SecureMemory;
 use metaleak_sim::addr::CoreId;
 use metaleak_sim::clock::Cycles;
 use metaleak_sim::trace::{TraceEvent, Tracer};
-
-pub use crate::channel::FramedOutcome;
 
 /// Per-bit observation for trace rendering (Figure 11).
 #[derive(Debug, Clone, Copy)]
@@ -266,41 +263,6 @@ impl CovertChannelT {
             wire_samples,
             cycles: mem.now() - start,
         })
-    }
-}
-
-impl CovertChannel for CovertChannelT {
-    fn alphabet(&self) -> u64 {
-        2
-    }
-
-    fn transmit_symbols<Tr: Tracer>(
-        &mut self,
-        mem: &mut SecureMemory<Tr>,
-        symbols: &[u64],
-    ) -> Result<SymbolsOutcome, AttackError> {
-        if symbols.iter().any(|&s| s > 1) {
-            return Err(AttackError::InvalidParameter { what: "symbol exceeds channel capacity" });
-        }
-        let bits: Vec<bool> = symbols.iter().map(|&s| s == 1).collect();
-        let out = self.transmit(mem, &bits)?;
-        Ok(SymbolsOutcome {
-            decoded: out.decoded.iter().map(|&b| b as u64).collect(),
-            samples: out.labelled_samples(&bits),
-            cycles: out.cycles,
-        })
-    }
-
-    /// MetaLeak-T windows are self-framing (the boundary set marks
-    /// them), so no re-arming is needed and `_policy` is unused.
-    fn transmit_payload<Tr: Tracer>(
-        &mut self,
-        mem: &mut SecureMemory<Tr>,
-        payload: &[bool],
-        codec: &FrameCodec,
-        _policy: &RetryPolicy,
-    ) -> Result<FramedOutcome, AttackError> {
-        self.transmit_framed(mem, payload, codec)
     }
 }
 

@@ -9,14 +9,14 @@
 //! - **MetaLeak-C** ([`metaleak_c`], [`covert_c`]) — mPreset+mOverflow
 //!   over shared tree counters: observes victim *writes* through the
 //!   latency storm of counter-overflow handling (§VI-B);
+//! - [`dual`] — two mutually-avoiding monitors over two victim pages,
+//!   stepped one victim iteration per window: the SGX-Step-style
+//!   interleaving the MetaLeak-T case studies of §VIII run on;
 //! - supporting primitives: latency classification ([`timing`]),
 //!   implicit-sharing arithmetic ([`sharing`]), indirect metadata
-//!   eviction ([`mevict`]), timed reloads ([`mreload`]),
-//!   SGX-Step-style victim stepping ([`step`]), the self-healing
-//!   runtime ([`resilience`]: bounded retries, drift-aware
-//!   recalibration, ECC framing) and the channel-agnostic
-//!   [`channel::CovertChannel`] interface both covert channels
-//!   implement.
+//!   eviction ([`mevict`]), timed reloads ([`mreload`]) and the
+//!   self-healing runtime ([`resilience`]: bounded retries and the ECC
+//!   framing both covert channels' `transmit_framed` use).
 //!
 //! ```
 //! use metaleak_attacks::MetaLeakT;
@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod covert_c;
 pub mod covert_t;
 pub mod dual;
@@ -54,11 +53,8 @@ pub mod mevict;
 pub mod mreload;
 pub mod resilience;
 pub mod sharing;
-pub mod step;
 pub mod timing;
-pub mod wqflush;
 
-pub use channel::{CovertChannel, FramedOutcome, SymbolsOutcome};
 pub use covert_c::{CovertChannelC, CovertOutcomeC};
 pub use covert_t::{CovertChannelT, CovertOutcome};
 pub use dual::{find_partner_block, victim_touch, DualPageMonitor, WindowSample};
@@ -66,6 +62,5 @@ pub use error::AttackError;
 pub use metaleak_c::{Bumper, MetaLeakC, OverflowProbe};
 pub use metaleak_t::{MetaLeakT, MonitorSample};
 pub use mevict::{CounterEvictor, MetaEvictor, TreeSetEvictor, VolumeEvictor};
-pub use resilience::{DecodeReport, DriftGuard, FrameCodec, RetryPolicy};
+pub use resilience::{DecodeReport, FrameCodec, FramedOutcome, RetryPolicy};
 pub use timing::LabelledSample;
-pub use wqflush::WriteQueueFlusher;

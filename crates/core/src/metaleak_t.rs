@@ -4,7 +4,7 @@
 use crate::error::AttackError;
 use crate::mevict::MetaEvictor;
 use crate::mreload::{Probe, ProbeSample};
-use crate::resilience::{DriftGuard, RetryPolicy};
+use crate::resilience::RetryPolicy;
 use crate::sharing;
 use crate::timing::ThresholdClassifier;
 use metaleak_engine::secmem::SecureMemory;
@@ -216,8 +216,7 @@ impl MetaLeakT {
     ///
     /// # Errors
     /// Transient [`AttackError::MeasurementInvalidated`] when the round
-    /// was disturbed; see [`MetaLeakT::monitor_resilient`] for the
-    /// self-healing variant.
+    /// was disturbed.
     pub fn monitor<Tr: Tracer>(
         &self,
         mem: &mut SecureMemory<Tr>,
@@ -233,51 +232,6 @@ impl MetaLeakT {
             probe,
             round_cycles: round,
         })
-    }
-
-    /// The self-healing monitoring round: the mEvict and mReload steps
-    /// are retried under `policy` (the victim action runs exactly once,
-    /// between them), every observed latency feeds `guard`, and when
-    /// the guard reports classifier drift the threshold is re-learned —
-    /// first by re-splitting the guard's sample window, falling back to
-    /// a full [`MetaLeakT::calibrate`] when the window will not split.
-    ///
-    /// # Errors
-    /// [`AttackError::RetriesExhausted`] when interference never let a
-    /// step complete; recalibration errors propagate.
-    pub fn monitor_resilient<Tr: Tracer>(
-        &mut self,
-        mem: &mut SecureMemory<Tr>,
-        core: CoreId,
-        guard: &mut DriftGuard,
-        policy: &RetryPolicy,
-        victim_action: impl FnOnce(&mut SecureMemory<Tr>),
-    ) -> Result<MonitorSample, AttackError> {
-        let mut round = self.evictor.evict_with_retry(mem, core, policy)?;
-        victim_action(mem);
-        let probe = match self.probe.reload(mem, core) {
-            Ok(p) => p,
-            Err(e) if e.is_transient() => {
-                // The in-flight measurement is lost and the dropped
-                // read warmed the probe's own metadata. Re-establish
-                // the evicted precondition and measure again; the
-                // victim evidence from this window may be lost with it.
-                policy.run(mem, |m| {
-                    self.evictor.evict(m, core)?;
-                    self.probe.reload(m, core)
-                })?
-            }
-            Err(e) => return Err(e),
-        };
-        round += probe.latency;
-        let accessed = self.classifier.is_fast(probe.latency);
-        if guard.observe(probe.latency, &self.classifier) {
-            match guard.recalibrate() {
-                Ok(c) => self.classifier = c,
-                Err(_) => self.calibrate(mem, core, 4)?,
-            }
-        }
-        Ok(MonitorSample { accessed, probe, round_cycles: round })
     }
 
     /// Average mEvict+mReload interval in cycles over `rounds` idle
@@ -400,36 +354,6 @@ mod tests {
         let mut m = mem();
         let atk = MetaLeakT::new(&mut m, CoreId(0), 100 * 64, 0, 2).unwrap();
         assert_eq!(atk.coverage_bytes(&m), 32 * 4096);
-    }
-
-    #[test]
-    fn resilient_monitor_survives_sample_drops() {
-        use metaleak_sim::interference::{FaultKind, FaultPlan};
-        let mut cfg = SecureConfigBuilder::sct(16384).build();
-        cfg.mcache = metaleak_meta::mcache::MetaCacheConfig {
-            counter: metaleak_sim::config::CacheConfig::new(8 * 1024, 4, 2),
-            tree: metaleak_sim::config::CacheConfig::new(8 * 1024, 4, 2),
-        };
-        cfg.faults = FaultPlan::clean().seeded(23).with(FaultKind::SampleDrop { rate: 0.15 });
-        let mut m = SecureMemory::new(cfg);
-        let core = CoreId(0);
-        let victim_block = 100 * 64;
-        let mut atk = MetaLeakT::new(&mut m, core, victim_block, 0, 6).unwrap();
-        let mut guard = DriftGuard::new(32);
-        let policy = RetryPolicy::new(16, Cycles::new(64));
-        let mut hits = 0;
-        for i in 0..20 {
-            let want = i % 2 == 0;
-            let s = atk
-                .monitor_resilient(&mut m, core, &mut guard, &policy, |mm| {
-                    if want {
-                        victim_read(victim_block)(mm);
-                    }
-                })
-                .unwrap();
-            hits += (s.accessed == want) as u32;
-        }
-        assert!(hits >= 16, "only {hits}/20 rounds decoded under drops");
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl MetaEvictor {
     ///
     /// # Errors
     /// Propagates transient drive-access failures of the component
-    /// evictors; see [`MetaEvictor::evict_with_retry`].
+    /// evictors.
     pub fn evict<Tr: Tracer>(
         &self,
         mem: &mut SecureMemory<Tr>,
@@ -276,22 +276,6 @@ impl MetaEvictor {
             spent += t.evict(mem, core)?;
         }
         Ok(spent)
-    }
-
-    /// [`MetaEvictor::evict`] wrapped in a bounded retry loop: if a
-    /// round is disturbed mid-way it is re-driven from the top (a
-    /// partial round leaves a strictly more-evicted cache, so repeats
-    /// are safe).
-    ///
-    /// # Errors
-    /// [`AttackError::RetriesExhausted`] when every attempt failed.
-    pub fn evict_with_retry<Tr: Tracer>(
-        &self,
-        mem: &mut SecureMemory<Tr>,
-        core: CoreId,
-        policy: &crate::resilience::RetryPolicy,
-    ) -> Result<Cycles, AttackError> {
-        policy.run(mem, |m| self.evict(m, core))
     }
 }
 

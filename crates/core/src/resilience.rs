@@ -1,19 +1,18 @@
-//! Self-healing attack runtime: bounded retry with backoff, drift-aware
-//! threshold recalibration, and ECC framing (majority vote over
-//! (7,4)-Hamming codewords) for the covert channels.
+//! Self-healing attack runtime: bounded retry with backoff and ECC
+//! framing (majority vote over (7,4)-Hamming codewords) for the covert
+//! channels.
 //!
 //! Under the adversarial interference of
 //! [`metaleak_sim::interference`], individual measurements get
 //! invalidated (preemption), lost (sample drops) or pushed across the
 //! decision threshold (jitter, co-runner bursts, DVFS drift). The
 //! pieces here let the attacks degrade gracefully instead of failing:
-//! transient errors are retried with backoff, classifier drift is
-//! detected and cured by re-splitting recent samples, and covert
-//! payloads ride inside redundant frames whose bit-error rate shrinks
+//! transient errors are retried with backoff, and covert payloads ride
+//! inside redundant frames whose bit-error rate shrinks
 //! combinatorially with the repeat count.
 
 use crate::error::AttackError;
-use crate::timing::{split_two_clusters, ThresholdClassifier};
+use crate::timing::LabelledSample;
 use metaleak_engine::secmem::SecureMemory;
 use metaleak_sim::clock::Cycles;
 use metaleak_sim::trace::Tracer;
@@ -113,86 +112,6 @@ impl RetryPolicy {
 }
 
 // ---------------------------------------------------------------------
-// Classifier drift detection and recalibration.
-// ---------------------------------------------------------------------
-
-/// Tracks running classification confidence and detects threshold
-/// drift. Each observed probe latency contributes a confidence score —
-/// its distance from the threshold relative to the spread of recent
-/// samples. When the exponentially-weighted confidence decays below the
-/// floor (latencies crowding the threshold: the calibrated gap has
-/// drifted shut), the tracker re-splits its sample window into two
-/// clusters and yields a fresh threshold.
-#[derive(Debug, Clone)]
-pub struct DriftGuard {
-    window: Vec<Cycles>,
-    capacity: usize,
-    next: usize,
-    confidence: f64,
-    alpha: f64,
-    floor: f64,
-}
-
-impl DriftGuard {
-    /// A guard remembering the last `capacity` samples (clamped to at
-    /// least 8). The confidence EWMA starts at 1.0 (fully trusted
-    /// post-calibration) with smoothing 0.1 and recalibration floor 0.4.
-    pub fn new(capacity: usize) -> Self {
-        DriftGuard {
-            window: Vec::new(),
-            capacity: capacity.max(8),
-            next: 0,
-            confidence: 1.0,
-            alpha: 0.1,
-            floor: 0.4,
-        }
-    }
-
-    /// Current confidence in `[0, 1]`.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
-    }
-
-    /// The retained sample window (insertion order not preserved).
-    pub fn samples(&self) -> &[Cycles] {
-        &self.window
-    }
-
-    /// Records one probe latency classified by `classifier`. Returns
-    /// true when confidence has decayed enough that the caller should
-    /// [`DriftGuard::recalibrate`].
-    pub fn observe(&mut self, latency: Cycles, classifier: &ThresholdClassifier) -> bool {
-        if self.window.len() < self.capacity {
-            self.window.push(latency);
-        } else {
-            self.window[self.next] = latency;
-            self.next = (self.next + 1) % self.capacity;
-        }
-        let spread = {
-            let min = self.window.iter().min().copied().unwrap_or(Cycles::ZERO);
-            let max = self.window.iter().max().copied().unwrap_or(Cycles::ZERO);
-            (max.as_u64() - min.as_u64()).max(1)
-        };
-        let margin = latency.as_u64().abs_diff(classifier.threshold().as_u64());
-        let score = ((2.0 * margin as f64) / spread as f64).clamp(0.0, 1.0);
-        self.confidence = (1.0 - self.alpha) * self.confidence + self.alpha * score;
-        self.window.len() >= self.capacity.min(16) && self.confidence < self.floor
-    }
-
-    /// Re-splits the sample window into two clusters and returns the
-    /// fresh classifier, restoring full confidence.
-    ///
-    /// # Errors
-    /// [`AttackError::CalibrationFailed`] when the window holds fewer
-    /// than two samples (nothing to split).
-    pub fn recalibrate(&mut self) -> Result<ThresholdClassifier, AttackError> {
-        let classifier = split_two_clusters(&self.window).ok_or(AttackError::CalibrationFailed)?;
-        self.confidence = 1.0;
-        Ok(classifier)
-    }
-}
-
-// ---------------------------------------------------------------------
 // (7,4)-Hamming ECC + majority-vote framing.
 // ---------------------------------------------------------------------
 
@@ -238,6 +157,31 @@ impl DecodeReport {
     /// True when nothing was erased (all losses were recoverable).
     pub fn complete(&self) -> bool {
         self.lost_codewords == 0
+    }
+}
+
+/// Result of an ECC-framed covert transmission (either channel).
+#[derive(Debug, Clone)]
+pub struct FramedOutcome {
+    /// The receiver-side decode report (payload, corrections, losses).
+    pub report: DecodeReport,
+    /// Wire bits actually pushed through the channel.
+    pub wire_bits: usize,
+    /// Wire bits the spy failed to observe (erasures after per-window
+    /// failure — these abstain from the majority vote).
+    pub erasures: usize,
+    /// Labelled per-window observations (sent wire bit → channel
+    /// observable) for the windows that survived; erased windows are
+    /// omitted. Feeds the leakage-assessment layer.
+    pub wire_samples: Vec<LabelledSample>,
+    /// Total simulated cycles consumed.
+    pub cycles: Cycles,
+}
+
+impl FramedOutcome {
+    /// Payload-bit accuracy against the transmitted ground truth.
+    pub fn accuracy(&self, truth: &[bool]) -> f64 {
+        crate::timing::accuracy(&self.report.payload, truth)
     }
 }
 
@@ -475,36 +419,5 @@ mod tests {
         // Exhaustion is reported with the attempt count.
         let out: Result<(), _> = policy.run(&mut mem, |_| Err(AttackError::MeasurementInvalidated));
         assert_eq!(out, Err(AttackError::RetriesExhausted { attempts: 3 }));
-    }
-
-    #[test]
-    fn drift_guard_detects_a_collapsing_gap_and_recalibrates() {
-        let classifier = ThresholdClassifier::with_threshold(Cycles::new(300));
-        let mut guard = DriftGuard::new(32);
-        // Well-separated bands: confidence stays high.
-        let mut rng = SimRng::seed_from(0xD21F7);
-        for _ in 0..32 {
-            let lat = if rng.chance(0.5) { 100 + rng.below(20) } else { 500 + rng.below(20) };
-            assert!(!guard.observe(Cycles::new(lat), &classifier));
-        }
-        assert!(guard.confidence() > 0.6, "confidence {}", guard.confidence());
-        // The slow band drifts down onto the stale threshold.
-        let mut fired = false;
-        for _ in 0..64 {
-            let lat = if rng.chance(0.5) { 290 + rng.below(8) } else { 306 + rng.below(8) };
-            fired |= guard.observe(Cycles::new(lat), &classifier);
-        }
-        assert!(fired, "crowded threshold must trigger recalibration");
-        let fresh = guard.recalibrate().unwrap();
-        assert!(guard.confidence() == 1.0);
-        // The re-split threshold separates the *new* clusters.
-        assert!(fresh.is_fast(Cycles::new(295)));
-        assert!(!fresh.is_fast(Cycles::new(310)));
-    }
-
-    #[test]
-    fn drift_guard_recalibration_needs_samples() {
-        let mut guard = DriftGuard::new(8);
-        assert_eq!(guard.recalibrate(), Err(AttackError::CalibrationFailed));
     }
 }

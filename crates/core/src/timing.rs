@@ -3,8 +3,7 @@
 //! MetaLeak attacks reduce to classifying observed access latencies
 //! into bands ("tree leaf cached" vs "missed", "overflow" vs "quiet").
 //! [`ThresholdClassifier`] learns a cut between two calibration sample
-//! sets; [`split_two_clusters`] finds a cut unsupervised (largest-gap
-//! heuristic over sorted samples).
+//! sets.
 
 use crate::error::AttackError;
 use metaleak_sim::clock::Cycles;
@@ -73,27 +72,6 @@ impl ThresholdClassifier {
     }
 }
 
-/// Unsupervised two-cluster split: sorts the samples and cuts at the
-/// largest adjacent gap. Returns the threshold, or `None` when fewer
-/// than two samples exist.
-pub fn split_two_clusters(samples: &[Cycles]) -> Option<ThresholdClassifier> {
-    if samples.len() < 2 {
-        return None;
-    }
-    let mut xs: Vec<u64> = samples.iter().map(|c| c.as_u64()).collect();
-    xs.sort_unstable();
-    let mut best_gap = 0;
-    let mut cut = xs[0];
-    for w in xs.windows(2) {
-        let gap = w[1] - w[0];
-        if gap > best_gap {
-            best_gap = gap;
-            cut = w[0] + gap / 2;
-        }
-    }
-    Some(ThresholdClassifier::with_threshold(Cycles::new(cut)))
-}
-
 /// Fraction of positions where `decoded` matches `truth` (bit/symbol
 /// accuracy metric used throughout the evaluation).
 ///
@@ -150,19 +128,6 @@ mod tests {
         assert!(c.is_fast(Cycles::new(150)));
         assert!(!c.is_fast(Cycles::new(250)));
         assert!(c.threshold().as_u64() > 100 && c.threshold().as_u64() < 300);
-    }
-
-    #[test]
-    fn unsupervised_split_finds_the_gap() {
-        let samples = cy(&[100, 102, 98, 101, 400, 395, 405]);
-        let c = split_two_clusters(&samples).unwrap();
-        assert!(c.threshold().as_u64() > 102 && c.threshold().as_u64() < 395);
-    }
-
-    #[test]
-    fn split_requires_two_samples() {
-        assert!(split_two_clusters(&cy(&[5])).is_none());
-        assert!(split_two_clusters(&[]).is_none());
     }
 
     #[test]

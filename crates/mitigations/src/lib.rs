@@ -6,10 +6,7 @@
 //!   state-of-the-art cache randomization does not stop mEvict
 //!   (Figure 18);
 //! - [`partition`] — static per-domain integrity-tree partitioning with
-//!   its stranding and re-hash cost model;
-//! - [`dynamic`] — the paper's §IX-C proposal: per-domain *dynamic*
-//!   trees that grow on demand, with counter clearing on reassignment
-//!   and the runtime re-hash overhead it warns about;
+//!   its stranding and re-hash cost model (§IX-C);
 //! - [`detector`] — a CC-Hunter-style auditor flagging periodic
 //!   metadata-cache contention (covert-channel detection);
 //! - [`analysis`] — the defense-vs-attack effectiveness matrix.
@@ -18,12 +15,10 @@
 
 pub mod analysis;
 pub mod detector;
-pub mod dynamic;
 pub mod mirage;
 pub mod partition;
 
 pub use analysis::{evaluate, Attack, Defense, Effectiveness};
 pub use detector::{ContentionDetector, DetectionVerdict, SweepPoint};
-pub use dynamic::{DomainId, DynamicDomainForest, ForestError, GrowthReport};
 pub use mirage::{eviction_probability, MirageCache, MirageConfig};
 pub use partition::{PartitionError, TreePartition};

@@ -7,7 +7,7 @@
 //! SipHash costs about as much per lookup as the work that map exists
 //! to avoid, so it uses this fast non-cryptographic hasher instead.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hasher;
 
 /// The rustc `FxHash` word-mixing hasher.
@@ -73,9 +73,6 @@ impl std::hash::BuildHasher for BuildFxHasher {
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildFxHasher>;
 
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildFxHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,12 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_aliases_work() {
+    fn map_alias_works() {
         let mut m: FxHashMap<u64, &str> = FxHashMap::default();
         m.insert(9, "nine");
         assert_eq!(m.get(&9), Some(&"nine"));
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(9));
-        assert!(!s.insert(9));
     }
 }

@@ -13,10 +13,9 @@
 //!   attacker's image-reconstruction pipeline.
 //!
 //! The victims are pure algorithms that *emit their secret-dependent
-//! access traces* through observer callbacks ([`trace`] provides the
-//! replayable, serializable trace + page-map layer); the case-study
-//! glue maps those events onto simulated pages and drives the MetaLeak
-//! monitors.
+//! access events* through observer callbacks; the case-study glue
+//! (`metaleak::casestudy`) maps those events onto simulated pages and
+//! drives the MetaLeak monitors.
 
 #![warn(missing_docs)]
 
@@ -24,7 +23,6 @@ pub mod bignum;
 pub mod jpeg;
 pub mod modinv;
 pub mod rsa;
-pub mod trace;
 
 pub use bignum::BigUint;
 pub use jpeg::GrayImage;

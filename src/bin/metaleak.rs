@@ -32,6 +32,22 @@ COMMANDS:
 
 Options take the form `--name value` (or bare `--sgx`).";
 
+/// Largest `--bits` / `--symbols` count accepted, so a mistyped count
+/// cannot allocate without limit.
+const MAX_COUNT: usize = 1 << 20;
+
+/// A malformed command line: `main` prints it with the usage text.
+#[derive(Debug)]
+struct UsageError(String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for UsageError {}
+
 /// Minimal `--flag value` parser.
 struct Args {
     items: Vec<String>,
@@ -46,12 +62,25 @@ impl Args {
         self.items.first().map(String::as_str)
     }
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.items.windows(2).find(|w| w[0] == format!("--{name}")).map(|w| w[1].as_str())
+    /// `--name N`, or `default` when the option is absent.
+    fn number(&self, name: &str, default: usize) -> Result<usize, UsageError> {
+        let option = format!("--{name}");
+        let Some(at) = self.items.iter().position(|a| *a == option) else {
+            return Ok(default);
+        };
+        let value =
+            self.items.get(at + 1).ok_or_else(|| UsageError(format!("{option} needs a value")))?;
+        value
+            .parse()
+            .map_err(|_| UsageError(format!("{option} expects a whole number, got {value:?}")))
     }
 
-    fn number(&self, name: &str, default: usize) -> usize {
-        self.value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// A [`Args::number`] in `1..=MAX_COUNT`.
+    fn count(&self, name: &str, default: usize) -> Result<usize, UsageError> {
+        match self.number(name, default)? {
+            n @ 1..=MAX_COUNT => Ok(n),
+            n => Err(UsageError(format!("--{name} must be between 1 and {MAX_COUNT}, got {n}"))),
+        }
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -60,7 +89,7 @@ impl Args {
 }
 
 fn cmd_covert_t(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let bits_n = args.number("bits", 64);
+    let bits_n = args.count("bits", 64)?;
     let (cfg, level, label) = if args.flag("sgx") {
         (configs::sgx_experiment(), 1, "SGX / SIT")
     } else {
@@ -81,7 +110,7 @@ fn cmd_covert_t(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_covert_c(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let symbols_n = args.number("symbols", 32);
+    let symbols_n = args.count("symbols", 32)?;
     println!("MetaLeak-C covert channel [SCT, 4-bit tree minors], {symbols_n} symbols ...");
     let mut mem = SecureMemory::new(configs::sct_experiment_with_tree_bits(4));
     let mut channel = CovertChannelC::new(&mem, CoreId(0), CoreId(1), 1, 100)?;
@@ -98,7 +127,7 @@ fn cmd_covert_c(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_steal_image(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let size = args.number("size", 32).clamp(16, 128) / 8 * 8;
+    let size = args.number("size", 32)?.clamp(16, 128) / 8 * 8;
     let image = GrayImage::circle(size, size);
     println!("stealing a {size}x{size} image through encode_one_block ...");
     let out = run_jpeg_t(configs::sct_experiment(), &image, 100, 0)?;
@@ -161,6 +190,10 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.is::<UsageError>() => {
+            eprintln!("{e}\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
